@@ -62,12 +62,14 @@ bench:
 	go test -bench=. -benchmem ./...
 
 # Quick perf-regression gate: the zero-allocation and accounting guards, the
-# fast-path-equals-cascade differential tests, and one pass of the headline
-# benchmarks with allocation reporting. Cheap enough for every PR.
+# fast-path-equals-cascade and lazy-aggregator-equals-eager differential
+# tests, and one pass of the headline benchmarks with allocation reporting.
+# Cheap enough for every PR.
 bench-check:
 	go test -run 'TestZeroAllocSteadyState|TestHWCyclesAccounting' ./internal/core/
 	go test -run 'TestFastOrderDifferential|TestLessStrictWeakOrdering' ./internal/decision/
 	go test -run 'TestBlockAliasingContract' ./internal/shuffle/
+	go test -run 'TestZeroAllocAggregate|TestAdvanceIsLazy|TestDifferential' ./internal/streamlet/
 	go test -run xxx -bench 'BenchmarkDecisionCycle' -benchtime 100x -benchmem .
 
 # Full perf harness: sweeps N=4..1024 × {DWCS,TagOnly} × {WR,BA} and writes

@@ -127,13 +127,20 @@ type ScaleResult struct {
 // prototype's 32, exercising the extrapolated design space) each carrying
 // `perSlot` aggregated streamlets, for the given number of decision cycles.
 func Scale(slots, perSlot, cycles int) (*ScaleResult, error) {
+	res, _, err := scale(slots, perSlot, cycles)
+	return res, err
+}
+
+// scale is Scale, also returning each slot's aggregator.
+func scale(slots, perSlot, cycles int) (*ScaleResult, []*streamlet.Aggregator, error) {
 	if slots < 2 || perSlot < 1 || cycles < slots {
-		return nil, fmt.Errorf("experiments: bad scale config (%d slots, %d per slot, %d cycles)", slots, perSlot, cycles)
+		return nil, nil, fmt.Errorf("experiments: bad scale config (%d slots, %d per slot, %d cycles)", slots, perSlot, cycles)
 	}
 	sched, err := core.New(core.Config{Slots: slots, Routing: core.WinnerOnly})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	aggs := make([]*streamlet.Aggregator, slots)
 	for i := 0; i < slots; i++ {
 		srcs := make([]regblock.HeadSource, perSlot)
 		for k := range srcs {
@@ -141,20 +148,34 @@ func Scale(slots, perSlot, cycles int) (*ScaleResult, error) {
 		}
 		set, err := streamlet.NewSet(1, srcs)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		agg, err := streamlet.New(set)
+		aggs[i], err = streamlet.New(set)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if err := sched.Admit(i, attr.Spec{Class: attr.EDF, Period: uint16(slots)}, agg); err != nil {
-			return nil, err
+		if err := sched.Admit(i, attr.Spec{Class: attr.EDF, Period: uint16(slots)}, aggs[i]); err != nil {
+			return nil, nil, err
 		}
 	}
 	if err := sched.Start(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	sched.RunFor(cycles)
+	// Charge every transmission to the streamlet that supplied it, as Fig10
+	// does: an aggregator remembers each head it hands out until then.
+	const frameBytes = 1000
+	var chargeErr error
+	sched.RunCycles(cycles, func(cr *core.CycleResult) bool {
+		for _, tx := range cr.Transmissions {
+			if _, _, chargeErr = aggs[tx.Slot].OnTransmit(frameBytes); chargeErr != nil {
+				return false
+			}
+		}
+		return true
+	})
+	if chargeErr != nil {
+		return nil, nil, chargeErr
+	}
 
 	var minW, maxW uint64
 	for i := 0; i < slots; i++ {
@@ -176,5 +197,5 @@ func Scale(slots, perSlot, cycles int) (*ScaleResult, error) {
 		Cycles:            sched.Decisions(),
 		Services:          sched.Totals().Services,
 		PerSlotFairness:   fair,
-	}, nil
+	}, aggs, nil
 }

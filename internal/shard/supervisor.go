@@ -101,7 +101,8 @@ type supShard struct {
 	restarts      int
 	dead          bool
 	backoffNs     float64
-	orphans       [][]*streamlet.Backlog // adopted backlogs per scheduler slot
+	orphans       [][]*streamlet.Backlog  // adopted backlogs per scheduler slot
+	aggs          []*streamlet.Aggregator // re-aggregated slots' aggregators (nil: own queue), charged per transmission
 	crash         *crashInfo
 }
 
@@ -140,14 +141,21 @@ func (u *supShard) liveLost(slot int) uint64 {
 // schedule may be nil (no faults, one round) and trace may be nil
 // (discard). RunSupervised may be called once per Router, in place of Run.
 func (r *Router) RunSupervised(framesPerStream int, schedule *fault.Schedule, rcfg RecoveryConfig, trace *fault.Trace) (*SupervisedResult, error) {
+	res, _, err := r.runSupervised(framesPerStream, schedule, rcfg, trace)
+	return res, err
+}
+
+// runSupervised is RunSupervised, also returning the per-shard supervision
+// state the run ended with.
+func (r *Router) runSupervised(framesPerStream int, schedule *fault.Schedule, rcfg RecoveryConfig, trace *fault.Trace) (*SupervisedResult, []*supShard, error) {
 	if r.ran {
-		return nil, fmt.Errorf("shard: Run called twice")
+		return nil, nil, fmt.Errorf("shard: Run called twice")
 	}
 	if framesPerStream < 1 {
-		return nil, fmt.Errorf("shard: %d frames per stream", framesPerStream)
+		return nil, nil, fmt.Errorf("shard: %d frames per stream", framesPerStream)
 	}
 	if len(r.byID) == 0 {
-		return nil, fmt.Errorf("shard: no streams admitted")
+		return nil, nil, fmt.Errorf("shard: no streams admitted")
 	}
 	r.ran = true
 	rcfg = rcfg.withDefaults()
@@ -157,7 +165,7 @@ func (r *Router) RunSupervised(framesPerStream int, schedule *fault.Schedule, rc
 		s.manager.SetPolicy(rcfg.Policy)
 		s.bus.Injector = schedule.Shard(k).Bus()
 		if err := s.sched.Start(); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", k, err)
+			return nil, nil, fmt.Errorf("shard %d: %w", k, err)
 		}
 		sup[k] = &supShard{
 			s:          s,
@@ -168,6 +176,7 @@ func (r *Router) RunSupervised(framesPerStream int, schedule *fault.Schedule, rc
 			meterBatch: s.bus.BatchMeter(r.cfg.Mode),
 			ownTarget:  uint64(len(s.streams)) * uint64(framesPerStream),
 			orphans:    make([][]*streamlet.Backlog, r.cfg.SlotsPerShard),
+			aggs:       make([]*streamlet.Aggregator, r.cfg.SlotsPerShard),
 		}
 	}
 
@@ -198,7 +207,7 @@ func (r *Router) RunSupervised(framesPerStream int, schedule *fault.Schedule, rc
 			break
 		}
 		if round >= maxRounds {
-			return nil, fmt.Errorf("shard: recovery did not converge in %d rounds", maxRounds)
+			return nil, nil, fmt.Errorf("shard: recovery did not converge in %d rounds", maxRounds)
 		}
 
 		var wg sync.WaitGroup
@@ -213,7 +222,7 @@ func (r *Router) RunSupervised(framesPerStream int, schedule *fault.Schedule, rc
 		wg.Wait()
 		for i, u := range active {
 			if errs[i] != nil {
-				return nil, fmt.Errorf("shard %d: %w", u.s.index, errs[i])
+				return nil, nil, fmt.Errorf("shard %d: %w", u.s.index, errs[i])
 			}
 			// Drain the tx-ring residue a crash stranded, so delivered
 			// equals scheduled at every barrier (conservation bookkeeping
@@ -262,7 +271,7 @@ func (r *Router) RunSupervised(framesPerStream int, schedule *fault.Schedule, rc
 			trace.Addf("round=%d shard=%d dead after %d restarts", round, u.s.index, u.restarts)
 			n, err := r.reaggregate(u, sup, &rrCursor, rcfg.Policy, round, trace)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			result.ReaggregatedSlots += n
 		}
@@ -282,7 +291,7 @@ func (r *Router) RunSupervised(framesPerStream int, schedule *fault.Schedule, rc
 	if result.VirtualNs > 0 {
 		result.PacketsPerS = float64(result.Delivered) / result.VirtualNs * 1e9
 	}
-	return result, nil
+	return result, sup, nil
 }
 
 // segIdleLimit bounds consecutive scheduler batches without a scheduled
@@ -374,6 +383,7 @@ func (r *Router) runSegment(u *supShard) error {
 		wg.Wait()
 	}()
 	idleBatches := 0
+	var chargeErr error
 	for u.crash == nil {
 		// remaining() already subtracts deliveries the engine is making
 		// concurrently; gate on scheduled work instead: schedule until the
@@ -390,6 +400,11 @@ func (r *Router) runSegment(u *supShard) error {
 				return true
 			}
 			for _, tx := range cr.Transmissions {
+				if agg := u.aggs[tx.Slot]; agg != nil {
+					if _, _, chargeErr = agg.OnTransmit(cfg.FrameBytes); chargeErr != nil {
+						return false
+					}
+				}
 				for !s.txRing.Push(tx) {
 					runtime.Gosched() // engine backpressure
 				}
@@ -412,6 +427,9 @@ func (r *Router) runSegment(u *supShard) error {
 			lost := s.manager.LiveDropped()
 			return u.scheduled+lost < u.ownTarget+u.adoptedTarget
 		})
+		if chargeErr != nil {
+			return fmt.Errorf("re-aggregated slot: %w", chargeErr)
+		}
 		if progressed {
 			idleBatches = 0
 		} else {
@@ -505,6 +523,7 @@ func (r *Router) reaggregate(dead *supShard, sup []*supShard, rrCursor *int, pol
 		if err != nil {
 			return 0, err
 		}
+		t.u.aggs[t.slot] = agg
 		if flushed {
 			// The target slot held an in-flight head of its own; the rebind
 			// flushed it, so a replacement rides in on the adopted backlog.

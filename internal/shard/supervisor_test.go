@@ -248,3 +248,48 @@ func TestSupervisedErrorIsNotCanceled(t *testing.T) {
 		t.Fatal("sanity")
 	}
 }
+
+// TestSupervisedReaggregationChargesTransmissions kills a shard early in a
+// long run, so the survivor's re-aggregated slots serve well over 10⁵
+// decision cycles through their streamlet aggregators. An aggregator
+// remembers each head it hands out until the transmission is charged; the
+// scheduler loop must charge them, leaving at most each slot's one
+// in-flight head outstanding.
+func TestSupervisedReaggregationChargesTransmissions(t *testing.T) {
+	const frames = 30_000
+	sched, err := fault.NewSchedule(fault.Profile{Seed: 3, Shards: 2, ShardCrashes: 4, Horizon: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := supervisedRouter(t, 2, 4, 8)
+	var tr fault.Trace
+	res, sup, err := r.runSupervised(frames, sched, RecoveryConfig{MaxRestarts: 1}, &tr)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, tr.String())
+	}
+	if len(res.DeadShards) != 1 || res.Delivered != res.Target {
+		t.Fatalf("want one dead shard and full delivery: %+v\n%s", res, tr.String())
+	}
+	reaggregated := 0
+	for _, u := range sup {
+		for slot, agg := range u.aggs {
+			if agg == nil {
+				continue
+			}
+			reaggregated++
+			if agg.Served < 10_000 {
+				t.Errorf("shard %d slot %d: aggregator served only %d heads", u.s.index, slot, agg.Served)
+			}
+			if agg.Pending() > 1 {
+				t.Errorf("shard %d slot %d: %d of %d served heads still outstanding, want at most the one in flight",
+					u.s.index, slot, agg.Pending(), agg.Served)
+			}
+		}
+	}
+	if reaggregated != res.ReaggregatedSlots {
+		t.Fatalf("%d aggregators for %d re-aggregated slots", reaggregated, res.ReaggregatedSlots)
+	}
+	if d := res.Counters.Services; d < 100_000 {
+		t.Fatalf("run too short to show growth: %d services", d)
+	}
+}

@@ -17,15 +17,23 @@
 package streamlet
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/regblock"
 )
 
+// timed is the clock hook of a time-gated source (core.TimedSource's
+// extension of regblock.HeadSource).
+type timed interface{ Advance(now uint64) }
+
 // Streamlet is one aggregated sub-stream: its own packet source plus
 // service accounting.
 type Streamlet struct {
 	src regblock.HeadSource
+	// clock is src's Advance, resolved once in NewSet; nil when the source
+	// is not time-gated.
+	clock timed
 
 	// Served counts packets handed to the stream-slot; Bytes counts
 	// transmitted bytes (charged by OnTransmit).
@@ -38,7 +46,7 @@ type Streamlet struct {
 // streamlets, plain round robin) before the next set's turn.
 type Set struct {
 	weight     int
-	streamlets []*Streamlet
+	streamlets []Streamlet
 	cursor     int
 }
 
@@ -50,12 +58,14 @@ func NewSet(weight int, sources []regblock.HeadSource) (*Set, error) {
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("streamlet: empty set")
 	}
-	s := &Set{weight: weight}
-	for _, src := range sources {
+	s := &Set{weight: weight, streamlets: make([]Streamlet, len(sources))}
+	for i, src := range sources {
 		if src == nil {
 			return nil, fmt.Errorf("streamlet: nil source")
 		}
-		s.streamlets = append(s.streamlets, &Streamlet{src: src})
+		sl := &s.streamlets[i]
+		sl.src = src
+		sl.clock, _ = src.(timed)
 	}
 	return s, nil
 }
@@ -67,30 +77,51 @@ func (s *Set) Weight() int { return s.weight }
 func (s *Set) Size() int { return len(s.streamlets) }
 
 // Streamlet returns streamlet i's accounting.
-func (s *Set) Streamlet(i int) *Streamlet { return s.streamlets[i] }
+func (s *Set) Streamlet(i int) *Streamlet { return &s.streamlets[i] }
 
 // next round-robins within the set, returning the index of the first
-// streamlet (starting at the cursor) with a packet available.
-func (s *Set) next() (int, regblock.Head, bool) {
+// streamlet (starting at the cursor) with a packet available. A time-gated
+// streamlet is brought to the aggregator's clock now immediately before it
+// is polled; clocked is false until the aggregator's first Advance, so a
+// source nobody has advanced keeps its own clock.
+//
+//sslint:hotpath
+func (s *Set) next(now uint64, clocked bool) (int, regblock.Head, bool) {
+	i := s.cursor
 	for k := 0; k < len(s.streamlets); k++ {
-		i := (s.cursor + k) % len(s.streamlets)
-		if h, ok := s.streamlets[i].src.NextHead(); ok {
-			s.cursor = (i + 1) % len(s.streamlets)
-			s.streamlets[i].Served++
+		sl := &s.streamlets[i]
+		next := i + 1
+		if next == len(s.streamlets) {
+			next = 0
+		}
+		if clocked && sl.clock != nil {
+			sl.clock.Advance(now)
+		}
+		if h, ok := sl.src.NextHead(); ok {
+			s.cursor = next
+			sl.Served++
 			return i, h, true
 		}
+		i = next
 	}
 	return 0, regblock.Head{}, false
 }
 
-// provider identifies which streamlet supplied a head, for transmit-time
-// byte accounting.
-type provider struct {
-	set, streamlet int
-}
+// errNoPending is OnTransmit's charge against an empty provenance queue.
+var errNoPending = errors.New("streamlet: transmit with no outstanding head")
 
 // Aggregator merges streamlet sets into a single head stream for one
 // stream-slot.
+//
+// Its clock is lazy: Advance only stamps the time, and a time-gated
+// streamlet sees the stamp when the round robin next polls it, so nested
+// sources are current as of their last poll, not as of the last Advance.
+// That is unobservable through the head stream provided every nested
+// source advances latest-wins — Advance(t2) leaves the same state whether
+// or not an Advance(t1 ≤ t2) ran before it — which every TimedSource in the
+// tree does and core's lean cycle path already relies on. A caller that
+// reads a nested source's own counters (traffic.Periodic.Generated, say)
+// sees them as of that streamlet's last poll.
 type Aggregator struct {
 	sets []*Set
 
@@ -98,9 +129,13 @@ type Aggregator struct {
 	setCursor int
 	credit    int
 
+	// now is the latest Advance stamp; clocked reports that there was one.
+	now     uint64
+	clocked bool
+
 	// pending maps dequeued heads (in order) to their providers so
 	// OnTransmit charges the right streamlet.
-	pending []provider
+	pending ring
 
 	// Served counts packets handed to the slot across all sets.
 	Served uint64
@@ -131,52 +166,53 @@ func (a *Aggregator) Set(i int) *Set { return a.sets[i] }
 // sets, plain round robin within the chosen set. A set's turn ends when its
 // credit is spent or it has nothing to send; after a full rotation with no
 // head the aggregate is empty.
+//
+//sslint:hotpath
 func (a *Aggregator) NextHead() (regblock.Head, bool) {
 	for tried := 0; tried <= len(a.sets); tried++ {
-		set := a.sets[a.setCursor]
 		if a.credit > 0 {
-			if i, h, ok := set.next(); ok {
+			if i, h, ok := a.sets[a.setCursor].next(a.now, a.clocked); ok {
 				a.credit--
-				a.pending = append(a.pending, provider{set: a.setCursor, streamlet: i})
+				a.pending.push(provider{set: a.setCursor, streamlet: i}) //sslint:allow allocproof — the ring doubles only when more heads are in flight than ever before; a slot's in-flight heads are bounded, so steady state never grows it
 				a.Served++
 				return h, true
 			}
 		}
 		// Turn over: move to the next set with fresh credit.
-		a.setCursor = (a.setCursor + 1) % len(a.sets)
+		if a.setCursor++; a.setCursor == len(a.sets) {
+			a.setCursor = 0
+		}
 		a.credit = a.sets[a.setCursor].weight
 	}
 	return regblock.Head{}, false
 }
 
-// Advance implements core.TimedSource by forwarding the clock to every
-// streamlet source that is time-gated.
+// Advance implements core.TimedSource. It stamps the clock and nothing
+// else — O(1) whatever the streamlet count; Set.next forwards the stamp to
+// each time-gated streamlet as it polls it.
+//
+//sslint:hotpath
 func (a *Aggregator) Advance(now uint64) {
-	type timed interface{ Advance(uint64) }
-	for _, s := range a.sets {
-		for _, sl := range s.streamlets {
-			if ts, ok := sl.src.(timed); ok {
-				ts.Advance(now)
-			}
-		}
-	}
+	a.now = now
+	a.clocked = true
 }
 
 // OnTransmit charges bytes transmitted from this slot to the streamlet that
 // supplied the oldest outstanding head (heads are consumed by the slot in
 // FIFO order). It returns the (set, streamlet) charged.
+//
+//sslint:hotpath
 func (a *Aggregator) OnTransmit(bytes int) (set, sl int, err error) {
-	if len(a.pending) == 0 {
-		return 0, 0, fmt.Errorf("streamlet: transmit with no outstanding head")
+	if a.pending.n == 0 {
+		return 0, 0, errNoPending
 	}
-	p := a.pending[0]
-	a.pending = a.pending[1:]
+	p := a.pending.pop()
 	a.sets[p.set].streamlets[p.streamlet].Bytes += uint64(bytes)
 	return p.set, p.streamlet, nil
 }
 
 // Pending returns how many dequeued heads await their OnTransmit charge.
-func (a *Aggregator) Pending() int { return len(a.pending) }
+func (a *Aggregator) Pending() int { return a.pending.n }
 
 // DiscardPending abandons every dequeued-but-untransmitted head — the
 // recovery path when the stream-slot draining this aggregator is flushed
@@ -187,15 +223,15 @@ func (a *Aggregator) Pending() int { return len(a.pending) }
 // the providing (set, streamlet), letting the caller restore provenance. It
 // returns the number of heads discarded.
 func (a *Aggregator) DiscardPending(undo func(set, streamlet int)) int {
-	n := len(a.pending)
-	for _, p := range a.pending {
+	n := a.pending.n
+	for i := 0; i < n; i++ {
+		p := a.pending.pop()
 		a.sets[p.set].streamlets[p.streamlet].Served--
 		a.Served--
 		if undo != nil {
 			undo(p.set, p.streamlet)
 		}
 	}
-	a.pending = a.pending[:0]
 	return n
 }
 
@@ -217,14 +253,18 @@ func NewBacklog(heads []regblock.Head) *Backlog {
 func (b *Backlog) Push(h regblock.Head) { b.heads = append(b.heads, h) }
 
 // Unget returns a head to the front of the backlog (the undo for a dequeue
-// whose consumer abandoned it).
+// whose consumer abandoned it). It reuses the slot the dequeue freed; with
+// no freed slot it reopens the front with slack in proportion to the
+// backlog, so a run of ungets costs O(1) each, amortized.
 func (b *Backlog) Unget(h regblock.Head) {
-	if b.next > 0 {
-		b.next--
-		b.heads[b.next] = h
-		return
+	if b.next == 0 {
+		slack := len(b.heads)/2 + 1
+		heads := make([]regblock.Head, slack+len(b.heads))
+		copy(heads[slack:], b.heads)
+		b.heads, b.next = heads, slack
 	}
-	b.heads = append([]regblock.Head{h}, b.heads...)
+	b.next--
+	b.heads[b.next] = h
 }
 
 // Remaining returns how many heads are still queued.
