@@ -1,6 +1,6 @@
 # ShareStreams-Go convenience targets (plain `go` commands work too).
 
-.PHONY: all check ci build test race bench bench-check perf perf-check report experiments cover fuzz fuzz-smoke lint lint-ci lint-stats chaos soak crash smoke
+.PHONY: all check ci build test race bench bench-check perf perf-check spine-compare report experiments cover fuzz fuzz-smoke lint lint-ci lint-stats chaos soak crash smoke
 
 all: build test race lint
 
@@ -13,9 +13,9 @@ check: all bench-check perf-check cover chaos soak crash smoke fuzz-smoke
 
 # ci mirrors .github/workflows/ci.yml locally: the same steps its required
 # jobs run, in one invocation (the workflow's perf job is advisory and is
-# reproduced by `make perf-check`). lint-ci is the workflow's lint step:
-# the same suite as lint plus the sslint.json artifact and the suppression
-# audit.
+# reproduced by `make perf-check spine-compare`). lint-ci is the workflow's
+# lint step: the same suite as lint plus the sslint.json artifact and the
+# suppression audit.
 ci: build test smoke race lint-ci bench-check cover chaos soak crash
 
 build:
@@ -84,6 +84,16 @@ perf:
 perf-check:
 	go run ./cmd/ssbench -baseline BENCH_PR2.json perf
 	go run ./cmd/ssbench -baseline BENCH_PR6.json rank
+
+# Spine comparison: every ssspine workload on BASE and on the working tree,
+# seeds 1 and 20030422, then `ssspine -compare` — what a gain PR records in
+# EXPERIMENTS.md, and what CI's advisory perf leg uploads. The JSON files
+# land in .ssspine/compare/. perf-check above stays until a later PR retires
+# it.
+BASE := HEAD~1
+
+spine-compare:
+	./scripts/spine_compare.sh $(BASE)
 
 report:
 	go run ./cmd/ssreport -full > report.md

@@ -1,19 +1,25 @@
 // Command ssserved hosts the sharded supervised endsystem as a long-running
-// service: a ctlplane.Engine stepped on a wall-clock epoch ticker, with an
-// HTTP admin API for live mutation — admit and evict streams, retune
+// service: a ctlplane.Engine stepped on demand — an epoch runs as soon as an
+// admin request is queued and the previous fence has closed, at most one a
+// millisecond, and -epoch-ms is only the idle heartbeat between requests —
+// with an HTTP admin API for live mutation — admit and evict streams, retune
 // attribute specs, switch a slot's rank program, resize a shard's shared
 // buffer pool, drain and restart shards — layered on the observability
 // endpoint (JSON /metrics plus pprof).
 //
-// Every admin request is enqueued on the control plane and applies at the
-// next epoch fence; the handler blocks until its response comes back from
+// Every admin request is handed to the engine goroutine over a bounded
+// queue (a full queue answers 429 with Retry-After) and applies at the next
+// epoch fence, together with every other request that arrived while the
+// previous epoch ran; the handler blocks until its response comes back from
 // the fence, so a 200 means the mutation is live (and a 409 carries the
 // control plane's deterministic error string). The full transition journal
-// streams to -journal under the -sync durability policy, and on shutdown
-// (SIGINT/SIGTERM or POST /admin/shutdown) the daemon pauses traffic, runs
-// the backlog out, prints the final conservation ledger as JSON on stdout,
-// and exits 0 only if the books close: offered == delivered + dropped +
-// evicted with nothing in flight and zero epoch violations.
+// streams to -journal under the -sync durability policy — under fence, one
+// fsync per epoch, after the step and before any of its responses is
+// released — and on shutdown (SIGINT/SIGTERM or POST /admin/shutdown) the
+// daemon answers what is queued, pauses traffic, runs the backlog out,
+// prints the final conservation ledger as JSON on stdout, and exits 0 only
+// if the books close: offered == delivered + dropped + evicted with nothing
+// in flight and zero epoch violations.
 //
 // Crash recovery: with -recover, the daemon replays the -journal file at
 // boot — the control plane is reconstructed by deterministic re-execution,
@@ -42,7 +48,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -73,7 +78,7 @@ func main() {
 	slots := flag.Int("slots", 16, "stream-slots per shard")
 	program := flag.String("program", "dwcs", "initial rank program for every shard")
 	policy := flag.String("policy", "drop-oldest", "overload policy: drop-oldest or reject-new")
-	epochMs := flag.Int("epoch-ms", 5, "wall-clock milliseconds per control epoch")
+	epochMs := flag.Int("epoch-ms", 5, "idle heartbeat: the longest the engine waits between epochs, in milliseconds (a queued request steps it at once, epochs at least 1 ms apart)")
 	cycles := flag.Int("cycles", 128, "decision cycles per shard per epoch")
 	frames := flag.Int("frames", 1, "frames offered per occupied slot per epoch")
 	journalPath := flag.String("journal", "", "stream the control-plane transition journal to this file")
@@ -101,106 +106,166 @@ type serveConfig struct {
 	strict                        bool
 }
 
+// submitQueueCap bounds the hand-off from admin handlers to the engine
+// goroutine: the most requests one fence can cover, and so the most a slow
+// epoch can leave waiting. A request that finds the queue full is refused
+// with 429 rather than parked.
+const submitQueueCap = 256
+
+// ackTimeout is how long a handler waits for its fence answer.
+const ackTimeout = 30 * time.Second
+
+// minEpochGap is the closest together two epochs may start: the 1 ms floor
+// -epoch-ms has always enforced, kept as the ceiling on demand stepping.
+// Requests set the phase of the epochs, not their rate — a request that
+// arrives inside the gap shares the next fence with every other one that
+// does — so what the datapath carries per second is paced by a timer, as
+// it was under the ticker, and not by how fast this machine steps and
+// fsyncs at the moment.
+const minEpochGap = time.Millisecond
+
+// cohortWait bounds how long after a fence the loop holds the next one
+// open for the clients that fence answered: see engineLoop.
+const cohortWait = 500 * time.Microsecond
+
 // submission is one admin request in flight to the engine goroutine; the
 // response channel is buffered so the engine never blocks on a departed
 // client.
 type submission struct {
 	req  ctlplane.Request
 	resp chan ctlplane.Response
+	at   time.Time // when the handler queued it
 }
 
-func serve(addr, addrFile, journalPath string, cfg serveConfig) error {
-	prog, err := decision.ParseProgram(cfg.program)
-	if err != nil {
-		return err
-	}
-	var pol qm.Policy
-	switch cfg.policy {
-	case "drop-oldest":
-		pol = qm.DropOldest
-	case "reject-new":
-		pol = qm.RejectNew
-	default:
-		return fmt.Errorf("-policy %q: want drop-oldest or reject-new", cfg.policy)
-	}
-	if cfg.epochMs < 1 {
-		return fmt.Errorf("-epoch-ms %d: want >= 1", cfg.epochMs)
-	}
-	sync, err := parseSyncPolicy(cfg.sync)
-	if err != nil {
-		return err
-	}
-	if cfg.recover && journalPath == "" {
-		return fmt.Errorf("-recover needs -journal: there is nothing to replay")
-	}
+// plane is the control plane once it exists: the engine and the durable
+// copy of its journal (nil without -journal).
+type plane struct {
+	eng  *ctlplane.Engine
+	sink *journalSink
+}
 
-	reg := obs.NewRegistry()
-	adminNs := reg.Histogram("ssserved.admin_latency", "ns")
+// sinkErrors is the journal's durability loss: lines the sink failed to
+// take plus fence fsyncs that failed.
+func (p *plane) sinkErrors() uint64 { return p.eng.SinkErrors() + p.sink.syncErrors() }
+
+// adminAPI is the HTTP side of the daemon. The engine goroutine owns the
+// engine exclusively: handlers hand it requests over submit and wait for
+// the fence to answer. Shutdown is a context cancel — from a signal or the
+// /admin/shutdown route.
+type adminAPI struct {
+	ctx     context.Context
+	stop    func()
+	reg     *obs.Registry
+	latency *obs.Histogram
+
+	submit chan submission
+	offer  chan int
+	// settled is closed when the engine loop has exited: a request still
+	// unanswered then was queued behind the loop's last drain and never
+	// reached a fence.
+	settled chan struct{}
 
 	// The engine does not exist until recovery finishes; handlers reach it
-	// through an atomic pointer behind the ready gate. Until then the HTTP
-	// endpoint is up in degraded mode: admin routes answer 503 with
-	// Retry-After, and /admin/recovery reports progress.
-	var engp atomic.Pointer[ctlplane.Engine]
-	var ready atomic.Bool
-	var recovery atomic.Pointer[map[string]any]
-	recovery.Store(&map[string]any{"state": "starting"})
+	// through this pointer, stored last. Until then the HTTP endpoint is up
+	// in degraded mode: admin routes answer 503 with Retry-After, and
+	// /admin/recovery reports progress.
+	plane    atomic.Pointer[plane]
+	recovery atomic.Pointer[map[string]any]
+}
 
-	// The engine goroutine owns the engine exclusively: admin handlers hand
-	// it requests over submit and wait for the fence to answer. Shutdown is
-	// a context cancel — from a signal or the /admin/shutdown route.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	submit := make(chan submission)
-	offer := make(chan int)
-	done := make(chan ctlplane.Ledger, 1)
-
-	// degraded answers for the recovery window and reports whether the
-	// caller should return (the daemon is not ready to serve).
-	degraded := func(w http.ResponseWriter) bool {
-		if ready.Load() {
-			return false
-		}
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "recovering: journal replay in progress")
-		return true
+func newAdminAPI(ctx context.Context, stop func(), reg *obs.Registry, queueCap int) *adminAPI {
+	a := &adminAPI{
+		ctx: ctx, stop: stop, reg: reg,
+		latency: reg.Histogram("ssserved.admin_latency", "ns"),
+		// Sized to the fence's batch bound, not to a sender count: see
+		// submitQueueCap.
+		submit:  make(chan submission, queueCap),
+		offer:   make(chan int),
+		settled: make(chan struct{}),
 	}
+	a.recovery.Store(&map[string]any{"state": "starting"})
+	return a
+}
 
-	mux := obs.NewMux(reg)
-	admin := func(route string, h func(url.Values) (ctlplane.Request, error)) {
-		mux.HandleFunc("/admin/"+route, func(w http.ResponseWriter, r *http.Request) {
-			start := obs.WallClock()
-			defer func() { adminNs.Observe(obs.WallClock() - start) }()
-			if degraded(w) {
-				return
-			}
-			if r.Method != http.MethodPost {
-				httpError(w, http.StatusMethodNotAllowed, "POST only")
-				return
-			}
-			req, err := h(r.URL.Query())
-			if err != nil {
-				httpError(w, http.StatusBadRequest, err.Error())
-				return
-			}
-			sub := submission{req: req, resp: make(chan ctlplane.Response, 1)}
-			select {
-			case submit <- sub:
-			case <-ctx.Done():
-				httpError(w, http.StatusServiceUnavailable, "shutting down")
-				return
-			}
+// degraded answers for the recovery window and reports whether the caller
+// should return (the daemon is not ready to serve).
+func (a *adminAPI) degraded(w http.ResponseWriter) bool {
+	if a.plane.Load() != nil {
+		return false
+	}
+	w.Header().Set("Retry-After", "1")
+	httpError(w, http.StatusServiceUnavailable, "recovering: journal replay in progress")
+	return true
+}
+
+// mutation serves one fence-applied route: parse, queue without blocking,
+// wait for the fence.
+func (a *adminAPI) mutation(parse func(url.Values) (ctlplane.Request, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := obs.WallClock()
+		defer func() { a.latency.Observe(obs.WallClock() - start) }()
+		if a.degraded(w) {
+			return
+		}
+		if r.Method != http.MethodPost {
+			httpError(w, http.StatusMethodNotAllowed, "POST only")
+			return
+		}
+		req, err := parse(r.URL.Query())
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		if a.ctx.Err() != nil {
+			httpError(w, http.StatusServiceUnavailable, "shutting down")
+			return
+		}
+		sub := submission{req: req, resp: make(chan ctlplane.Response, 1), at: time.Now()}
+		select {
+		case a.submit <- sub:
+		default:
+			w.Header().Set("Retry-After", "1")
+			httpError(w, http.StatusTooManyRequests,
+				fmt.Sprintf("control queue full: %d requests are waiting for the next fence", cap(a.submit)))
+			return
+		}
+		// One timer per request, stopped on the way out: a time.After here
+		// would stay live for its full 30 s under go 1.22 timer semantics,
+		// and daemon memory would scale with request rate × 30 s.
+		timeout := time.NewTimer(ackTimeout)
+		defer timeout.Stop()
+		select {
+		case resp := <-sub.resp:
+			writeResponse(w, resp)
+		case <-a.settled:
+			// The loop releases its last fence before it exits, so an
+			// answer, if one was coming, is already buffered.
 			select {
 			case resp := <-sub.resp:
-				code := http.StatusOK
-				if !resp.OK() {
-					code = http.StatusConflict
-				}
-				writeJSON(w, code, resp)
-			case <-time.After(30 * time.Second):
-				httpError(w, http.StatusGatewayTimeout, "no epoch fence within 30s")
+				writeResponse(w, resp)
+			default:
+				httpError(w, http.StatusServiceUnavailable, "shutting down")
 			}
-		})
+		case <-timeout.C:
+			httpError(w, http.StatusGatewayTimeout, fmt.Sprintf("no epoch fence within %s", ackTimeout))
+		case <-r.Context().Done(): // the client left; nobody to answer
+		}
+	}
+}
+
+func writeResponse(w http.ResponseWriter, resp ctlplane.Response) {
+	code := http.StatusOK
+	if !resp.OK() {
+		code = http.StatusConflict
+	}
+	writeJSON(w, code, resp)
+}
+
+// mux mounts the admin routes on the observability endpoint.
+func (a *adminAPI) mux() *http.ServeMux {
+	mux := obs.NewMux(a.reg)
+	admin := func(route string, parse func(url.Values) (ctlplane.Request, error)) {
+		mux.HandleFunc("/admin/"+route, a.mutation(parse))
 	}
 	admin("admit", func(q url.Values) (ctlplane.Request, error) {
 		id, err := streamParam(q)
@@ -259,7 +324,7 @@ func serve(addr, addrFile, journalPath string, cfg serveConfig) error {
 		return ctlplane.Request{Op: ctlplane.OpRestartShard, Shard: k}, err
 	})
 	mux.HandleFunc("/admin/offering", func(w http.ResponseWriter, r *http.Request) {
-		if degraded(w) {
+		if a.degraded(w) {
 			return
 		}
 		if r.Method != http.MethodPost {
@@ -272,25 +337,25 @@ func serve(addr, addrFile, journalPath string, cfg serveConfig) error {
 			return
 		}
 		select {
-		case offer <- n:
+		case a.offer <- n:
 			writeJSON(w, http.StatusOK, map[string]int{"frames": n})
-		case <-ctx.Done():
+		case <-a.ctx.Done():
 			httpError(w, http.StatusServiceUnavailable, "shutting down")
 		}
 	})
 	mux.HandleFunc("/admin/ledger", func(w http.ResponseWriter, r *http.Request) {
-		if degraded(w) {
+		if a.degraded(w) {
 			return
 		}
-		eng := engp.Load()
-		led := eng.Ledger() // atomic snapshot from the last fence: any-goroutine safe
-		writeJSON(w, http.StatusOK, ledgerDoc(eng, led))
+		p := a.plane.Load()
+		led := p.eng.Ledger() // atomic snapshot from the last fence: any-goroutine safe
+		writeJSON(w, http.StatusOK, p.ledgerDoc(led))
 	})
 	mux.HandleFunc("/admin/recovery", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, *recovery.Load())
+		writeJSON(w, http.StatusOK, *a.recovery.Load())
 	})
 	mux.HandleFunc("/admin/shutdown", func(w http.ResponseWriter, r *http.Request) {
-		if degraded(w) {
+		if a.degraded(w) {
 			return
 		}
 		if r.Method != http.MethodPost {
@@ -298,10 +363,42 @@ func serve(addr, addrFile, journalPath string, cfg serveConfig) error {
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"status": "shutting down"})
-		stop()
+		a.stop()
 	})
+	return mux
+}
 
-	bound, shutdownHTTP, err := obs.ServeHandler(addr, mux)
+func serve(addr, addrFile, journalPath string, cfg serveConfig) error {
+	prog, err := decision.ParseProgram(cfg.program)
+	if err != nil {
+		return err
+	}
+	var pol qm.Policy
+	switch cfg.policy {
+	case "drop-oldest":
+		pol = qm.DropOldest
+	case "reject-new":
+		pol = qm.RejectNew
+	default:
+		return fmt.Errorf("-policy %q: want drop-oldest or reject-new", cfg.policy)
+	}
+	if cfg.epochMs < 1 {
+		return fmt.Errorf("-epoch-ms %d: want >= 1", cfg.epochMs)
+	}
+	sync, err := parseSyncPolicy(cfg.sync)
+	if err != nil {
+		return err
+	}
+	if cfg.recover && journalPath == "" {
+		return fmt.Errorf("-recover needs -journal: there is nothing to replay")
+	}
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	reg := obs.NewRegistry()
+	api := newAdminAPI(ctx, stop, reg, submitQueueCap)
+
+	bound, shutdownHTTP, err := obs.ServeHandler(addr, api.mux())
 	if err != nil {
 		return err
 	}
@@ -314,15 +411,14 @@ func serve(addr, addrFile, journalPath string, cfg serveConfig) error {
 		cfg.shards, cfg.slots, prog, pol, bound)
 
 	// Build or recover the engine while the endpoint answers degraded.
-	eng, rep, closeJournal, err := openEngine(journalPath, sync, cfg, prog, pol, &recovery)
+	eng, rep, sink, err := openEngine(journalPath, sync, cfg, prog, pol, &api.recovery)
 	if err != nil {
 		httpCtx, cancel := context.WithTimeout(context.Background(), time.Second)
 		defer cancel()
 		_ = shutdownHTTP(httpCtx)
 		return err
 	}
-	defer closeJournal()
-	engp.Store(eng)
+	defer sink.Close()
 	eng.RegisterMetrics(reg, "ctl")
 	eng.Router().RegisterMetrics(reg, "shard")
 	reg.GaugeFunc("ssserved.recovery.replayed_epochs", "epochs", func() float64 {
@@ -337,21 +433,28 @@ func serve(addr, addrFile, journalPath string, cfg serveConfig) error {
 		}
 		return float64(rep.TornBytes)
 	})
-	recovery.Store(&map[string]any{"state": "serving", "recovered": recoveredDoc(rep)})
-	ready.Store(true)
+	api.recovery.Store(&map[string]any{"state": "serving", "recovered": recoveredDoc(rep)})
+	pl := &plane{eng: eng, sink: sink}
+	api.plane.Store(pl)
 	if rep != nil {
 		fmt.Fprintf(os.Stderr, "ssserved: recovered %d epochs from %s (%d bytes committed, %d torn)\n",
 			rep.Epochs, journalPath, rep.CommittedBytes, rep.TornBytes)
 	}
 
-	// After each fence the loop consults the sink watchdog: under
-	// -journal-strict the first lost journal line settles and exits.
-	watchdog := func() {
-		if cfg.strict && eng.SinkErrors() > 0 {
-			stop()
-		}
+	loop := engineLoop{
+		eng: eng, sink: sink, heartbeat: time.Duration(cfg.epochMs) * time.Millisecond,
+		gap: minEpochGap, cohortWait: cohortWait,
+		submit: api.submit, offer: api.offer, quit: ctx.Done(), settled: api.settled,
+		// After each fence the loop consults the sink watchdog: under
+		// -journal-strict the first lost journal line or failed fsync
+		// settles and exits.
+		watchdog: func() {
+			if cfg.strict && pl.sinkErrors() > 0 {
+				stop()
+			}
+		},
 	}
-	go engineLoop(eng, time.Duration(cfg.epochMs)*time.Millisecond, submit, offer, ctx.Done(), done, watchdog)
+	go loop.run()
 
 	<-ctx.Done()
 	stop() // restore default signal handling: a second ^C kills hard
@@ -359,19 +462,20 @@ func serve(addr, addrFile, journalPath string, cfg serveConfig) error {
 	httpCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = shutdownHTTP(httpCtx)
-	final := <-done
+	<-api.settled
+	final := loop.final
 
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(ledgerDoc(eng, final)); err != nil {
+	if err := enc.Encode(pl.ledgerDoc(final)); err != nil {
 		return err
 	}
 	if !final.Balanced() || final.InFlight != 0 || eng.Violations() != 0 {
 		return fmt.Errorf("conservation did not close: %d violations, %d in flight",
 			eng.Violations(), final.InFlight)
 	}
-	if cfg.strict && eng.SinkErrors() > 0 {
-		return fmt.Errorf("journal sink lost %d lines (-journal-strict)", eng.SinkErrors())
+	if cfg.strict && pl.sinkErrors() > 0 {
+		return fmt.Errorf("journal sink lost %d lines or fence syncs (-journal-strict)", pl.sinkErrors())
 	}
 	return nil
 }
@@ -380,13 +484,13 @@ func serve(addr, addrFile, journalPath string, cfg serveConfig) error {
 // journalPath, or — under -recover, when the file holds a journal — one
 // reconstructed by replaying it, with the file truncated to its committed
 // prefix and reattached in append mode under the -sync policy. The replay
-// report is nil on a fresh start.
+// report is nil on a fresh start, the sink nil without a journal file.
 func openEngine(journalPath string, sync syncPolicy, cfg serveConfig, prog decision.Program, pol qm.Policy,
-	recovery *atomic.Pointer[map[string]any]) (*ctlplane.Engine, *ctlplane.ReplayReport, func(), error) {
-	fresh := func(w *os.File) (*ctlplane.Engine, *ctlplane.ReplayReport, func(), error) {
+	recovery *atomic.Pointer[map[string]any]) (*ctlplane.Engine, *ctlplane.ReplayReport, *journalSink, error) {
+	fresh := func(sink *journalSink) (*ctlplane.Engine, *ctlplane.ReplayReport, *journalSink, error) {
 		var journal io.Writer
-		if w != nil {
-			journal = &syncWriter{f: w, policy: sync}
+		if sink != nil {
+			journal = sink
 		}
 		eng, err := endsystem.NewService(endsystem.ServiceConfig{
 			Shards:          cfg.shards,
@@ -399,16 +503,10 @@ func openEngine(journalPath string, sync syncPolicy, cfg serveConfig, prog decis
 			Journal:         journal,
 		})
 		if err != nil {
-			if w != nil {
-				w.Close()
-			}
+			sink.Close()
 			return nil, nil, nil, err
 		}
-		closer := func() {}
-		if w != nil {
-			closer = func() { w.Close() }
-		}
-		return eng, nil, closer, nil
+		return eng, nil, sink, nil
 	}
 
 	if journalPath == "" {
@@ -425,14 +523,14 @@ func openEngine(journalPath string, sync syncPolicy, cfg serveConfig, prog decis
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return fresh(f)
+	return fresh(&journalSink{f: f, policy: sync})
 }
 
 // recoverEngine replays journalPath into a fresh engine. Before the replay
 // proper it scans for the latest checkpoint — bounded-time state the
 // /admin/recovery endpoint reports while re-execution runs.
 func recoverEngine(journalPath string, sync syncPolicy,
-	recovery *atomic.Pointer[map[string]any]) (*ctlplane.Engine, *ctlplane.ReplayReport, func(), error) {
+	recovery *atomic.Pointer[map[string]any]) (*ctlplane.Engine, *ctlplane.ReplayReport, *journalSink, error) {
 	f, err := os.Open(journalPath)
 	if err != nil {
 		return nil, nil, nil, err
@@ -464,8 +562,9 @@ func recoverEngine(journalPath string, sync syncPolicy,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	eng.SetJournalSink(&syncWriter{f: af, policy: sync})
-	return eng, rep, func() { af.Close() }, nil
+	sink := &journalSink{f: af, policy: sync}
+	eng.SetJournalSink(sink)
+	return eng, rep, sink, nil
 }
 
 // recoveredDoc summarizes a replay report for /admin/recovery (nil on a
@@ -490,9 +589,9 @@ type syncPolicy uint8
 const (
 	// syncNone leaves durability to the OS page cache.
 	syncNone syncPolicy = iota
-	// syncFence fsyncs when an epoch block completes (its ledger and
-	// checkpoint lines), so every acknowledged fence is durable before its
-	// responses unblock — the durability-before-ack contract.
+	// syncFence fsyncs once per epoch, at the engine loop's commit point:
+	// after the step has written the whole epoch block and before any of
+	// the fence's responses unblock — the durability-before-ack contract.
 	syncFence
 	// syncLine fsyncs every journal line.
 	syncLine
@@ -511,46 +610,144 @@ func parseSyncPolicy(name string) (syncPolicy, error) {
 	}
 }
 
-// syncWriter writes journal lines to a file under a sync policy. Each Write
-// is exactly one journal line, so fence policy keys on the line kinds that
-// end an epoch block.
-type syncWriter struct {
-	f      *os.File
-	policy syncPolicy
+// journalFile is what the sink needs of an *os.File; tests substitute one
+// whose Sync blocks or fails.
+type journalFile interface {
+	io.WriteCloser
+	Sync() error
 }
 
-func (s *syncWriter) Write(p []byte) (int, error) {
+// journalSink is the durable copy of the journal under a sync policy. Lines
+// are written through as the engine produces them (each Write is exactly
+// one line), so the engine's SinkErrors keeps counting write losses; when
+// they become durable is the policy's business, and under fence it is the
+// engine loop's commit call. A nil sink (no -journal) is valid and does
+// nothing.
+type journalSink struct {
+	f        journalFile
+	policy   syncPolicy
+	syncErrs atomic.Uint64 // failed fence fsyncs; read by ledger scrapes
+}
+
+func (s *journalSink) Write(p []byte) (int, error) {
 	n, err := s.f.Write(p)
 	if err != nil || n != len(p) {
 		return n, err
 	}
-	switch s.policy {
-	case syncLine:
-		err = s.f.Sync()
-	case syncFence:
-		if bytes.Contains(p, []byte(" ledger ")) || bytes.Contains(p, []byte(" checkpoint ")) {
-			err = s.f.Sync()
+	if s.policy == syncLine {
+		if err := s.f.Sync(); err != nil {
+			return 0, err // a failed sync means the line is not durable
 		}
-	}
-	if err != nil {
-		return 0, err // a failed sync means the line is not durable
 	}
 	return n, nil
 }
 
+// commit makes the epoch block just written durable: the one fsync a fence
+// costs under -sync fence. A failure is counted, never fatal here — the
+// engine keeps running and -journal-strict decides what it means.
+func (s *journalSink) commit() {
+	if s == nil || s.policy != syncFence {
+		return
+	}
+	if err := s.f.Sync(); err != nil {
+		s.syncErrs.Add(1)
+	}
+}
+
+func (s *journalSink) syncErrors() uint64 {
+	if s == nil {
+		return 0
+	}
+	return s.syncErrs.Load()
+}
+
+func (s *journalSink) Close() error {
+	if s == nil {
+		return nil
+	}
+	return s.f.Close()
+}
+
 // engineLoop owns the control-plane engine: it alone enqueues and steps.
-// Requests arriving between ticks land at the next fence; their responses
-// are correlated back to the waiting handler by sequence number. After each
-// fence it runs the watchdog (the -journal-strict sink check). On shutdown
-// it pauses traffic and steps until nothing is in flight so the final
-// ledger closes exactly.
-func engineLoop(eng *ctlplane.Engine, epoch time.Duration, submit chan submission, offer chan int,
-	quit <-chan struct{}, done chan<- ctlplane.Ledger, watchdog func()) {
+// An epoch runs as soon as a request is queued and the previous fence has
+// closed, though never sooner than gap after the previous epoch began — the
+// request that woke the loop and every other one waiting by then share that
+// fence and its one commit — and otherwise on the heartbeat, so traffic
+// keeps flowing while nobody is asking for anything. (Modeled time, not
+// wall time, drives the datapath: when an epoch runs changes nothing it
+// computes.) Responses are correlated back to the waiting handler by
+// sequence number and released only once the fence is committed. After each
+// fence the loop runs the watchdog (the -journal-strict sink check).
+//
+// Closed-loop clients come back in step: the ones a fence answered send
+// their next requests within microseconds of each other, and if the first
+// one back began the epoch alone the others would queue behind it and the
+// clients would settle into taking turns, two epochs to an answer. So while
+// the last fence is recent (cohortWait) the loop holds the next one until
+// as many requests have arrived since as that fence answered. A lone or an
+// occasional client never waits on this: its own request is the cohort.
+type engineLoop struct {
+	eng        *ctlplane.Engine
+	sink       *journalSink
+	heartbeat  time.Duration
+	gap        time.Duration // minEpochGap; zero in tests that want no pacing
+	cohortWait time.Duration
+	submit     chan submission
+	offer      chan int
+	quit       <-chan struct{}
+	watchdog   func()
+
+	settled chan struct{}   // closed when run returns
+	final   ctlplane.Ledger // the last fence's ledger; valid once settled is closed
+}
+
+// rearm sets t to fire d from now, dropping a firing nobody received.
+func rearm(t *time.Timer, d time.Duration) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
+}
+
+// run steps until quit, then answers everything already queued, pauses
+// traffic and steps until nothing is in flight so the books close exactly.
+func (l *engineLoop) run() {
+	defer close(l.settled)
 	pending := make(map[uint64]chan ctlplane.Response)
-	tick := time.NewTicker(epoch)
-	defer tick.Stop()
-	step := func() ctlplane.Ledger {
-		rep := eng.Step()
+	var (
+		began, released time.Time // the last epoch: when it started, when its answers left
+		answered, fresh int       // how many it answered; how many requests were sent since
+	)
+	enqueue := func(sub submission) {
+		pending[l.eng.Enqueue(sub.req)] = sub.resp
+		if sub.at.After(released) {
+			fresh++
+		}
+	}
+	// room: no fence covers more than one queue's worth, so handlers that
+	// keep sending cannot hold it open.
+	room := func() bool { return len(pending) < cap(l.submit) }
+	// gather enqueues what is waiting right now.
+	gather := func() {
+		for room() {
+			select {
+			case sub := <-l.submit:
+				enqueue(sub)
+			default:
+				return
+			}
+		}
+	}
+	fence := func() ctlplane.Ledger {
+		began = time.Now()
+		rep := l.eng.Step()
+		l.sink.commit()
+		// Stamped before the first answer leaves, so that whatever an
+		// answered client sends next is newer than it.
+		answered, fresh, released = len(rep.Responses), 0, time.Now()
 		for _, resp := range rep.Responses {
 			if ch, ok := pending[resp.Seq]; ok {
 				ch <- resp // buffered: never blocks on a departed client
@@ -559,25 +756,54 @@ func engineLoop(eng *ctlplane.Engine, epoch time.Duration, submit chan submissio
 		}
 		return rep.Ledger
 	}
+	beat := time.NewTimer(l.heartbeat)
+	defer beat.Stop()
+	epoch := func() {
+		fence()
+		rearm(beat, l.heartbeat)
+		l.watchdog()
+	}
+	linger := time.NewTimer(0)
+	defer linger.Stop()
+	// pace holds a demand epoch back: for the last fence's cohort while that
+	// fence is recent, then for whatever is left of the gap.
+	pace := func() {
+		for fresh < answered && room() {
+			wait := time.Until(released.Add(l.cohortWait))
+			if wait <= 0 {
+				break
+			}
+			rearm(linger, wait)
+			select {
+			case sub := <-l.submit:
+				enqueue(sub)
+			case <-linger.C:
+			}
+		}
+		sleepUntil(began.Add(l.gap))
+	}
 	for {
 		select {
-		case sub := <-submit:
-			pending[eng.Enqueue(sub.req)] = sub.resp
-		case n := <-offer:
-			eng.SetOffering(n)
-		case <-tick.C:
-			step()
-			watchdog()
-		case <-quit:
-			// Settle: answer anything queued, stop offering, run the
-			// backlog out. Bounded so a wedged pipeline still exits (the
-			// unbalanced ledger then fails the process).
-			eng.SetOffering(0)
-			led := step()
-			for i := 0; led.InFlight > 0 && i < 1<<14; i++ {
-				led = step()
+		case sub := <-l.submit:
+			enqueue(sub)
+			pace()
+			gather()
+			epoch()
+		case n := <-l.offer:
+			l.eng.SetOffering(n)
+		case <-beat.C:
+			epoch()
+		case <-l.quit:
+			// Settle: every accepted request gets its fence answer, then
+			// stop offering and run the backlog out. Bounded so a wedged
+			// pipeline still exits (the unbalanced ledger then fails the
+			// process).
+			gather()
+			l.eng.SetOffering(0)
+			l.final = fence()
+			for i := 0; l.final.InFlight > 0 && i < 1<<14; i++ {
+				l.final = fence()
 			}
-			done <- led
 			return
 		}
 	}
@@ -662,15 +888,15 @@ func parseSpec(q url.Values) (attr.Spec, error) {
 
 // ledgerDoc is the JSON served by /admin/ledger and printed at exit: the
 // conservation snapshot plus the journal replay identity and sink health.
-func ledgerDoc(eng *ctlplane.Engine, led ctlplane.Ledger) map[string]any {
-	hash, lines := eng.JournalSum()
+func (p *plane) ledgerDoc(led ctlplane.Ledger) map[string]any {
+	hash, lines := p.eng.JournalSum()
 	return map[string]any{
 		"ledger":        led,
 		"balanced":      led.Balanced(),
-		"violations":    eng.Violations(),
+		"violations":    p.eng.Violations(),
 		"journal_hash":  fmt.Sprintf("%016x", hash),
 		"journal_lines": lines,
-		"sink_errors":   eng.SinkErrors(),
+		"sink_errors":   p.sinkErrors(),
 	}
 }
 

@@ -271,10 +271,12 @@ func TestServeRecovery(t *testing.T) {
 	cfg := testConfig()
 	cfg.recover = true
 	base2, wait2 := daemon(t, journal, cfg)
-	doc := get(t, base2, "/admin/recovery")
-	if doc["state"] != "serving" {
-		t.Fatalf("recovery state %v, want serving", doc["state"])
-	}
+	// The endpoint is up before replay finishes (degraded mode): wait it out.
+	var doc map[string]any
+	waitFor(t, "recovery to reach serving", func() bool {
+		doc = get(t, base2, "/admin/recovery")
+		return doc["state"] == "serving"
+	})
 	rec, ok := doc["recovered"].(map[string]any)
 	if !ok {
 		t.Fatalf("recovery doc has no recovered summary: %v", doc)

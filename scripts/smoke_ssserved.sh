@@ -1,16 +1,20 @@
 #!/bin/sh
-# Smoke test for cmd/ssserved, in two phases. Phase 1 starts the daemon on a
-# random port, drives the admin API end to end (admit, retune, program
+# Smoke test for cmd/ssserved, in three phases. Phase 1 starts the daemon on
+# a random port, drives the admin API end to end (admit, retune, program
 # switch, pool resize, drain, restart, evict — plus deliberate errors),
 # checks the live ledger, then kills the daemon with SIGKILL and tears the
 # journal's final write, as a real crash would. Phase 2 restarts it with
 # -recover on the torn journal, requires the admitted state to have
 # survived replay (a duplicate admit must 409), then shuts down gracefully
 # and requires a clean exit with a balanced final conservation ledger.
+# Phase 3 runs a fresh daemon at a 2 s heartbeat: an admit must be
+# acknowledged in under a second (the request steps the engine, not the
+# ticker), and a burst larger than the request queue must see 429s and
+# still close the books.
 #
 # Artifacts land in $SMOKE_DIR (default: a fresh mktemp dir): daemon stdout
-# (the final ledger JSON), stderr for both phases, and the transition
-# journal. CI uploads the directory when this script fails.
+# (the final ledger JSON), stderr for every phase, and the transition
+# journals. CI uploads the directory when this script fails.
 set -eu
 
 SMOKE_DIR=${SMOKE_DIR:-$(mktemp -d)}
@@ -21,6 +25,9 @@ OUT="$SMOKE_DIR/stdout.json"
 ERR="$SMOKE_DIR/stderr.log"
 OUT2="$SMOKE_DIR/stdout-recovered.json"
 ERR2="$SMOKE_DIR/stderr-recovered.log"
+JOURNAL3="$SMOKE_DIR/journal-demand.txt"
+OUT3="$SMOKE_DIR/stdout-demand.json"
+ERR3="$SMOKE_DIR/stderr-demand.log"
 
 echo "smoke: artifacts in $SMOKE_DIR"
 go build -o "$BIN" ./cmd/ssserved
@@ -157,5 +164,52 @@ grep -q '"InFlight": 0' "$OUT2" || { echo "smoke: FAIL: frames in flight at exit
 grep -q '"violations": 0' "$OUT2" || { echo "smoke: FAIL: conservation violations" >&2; cat "$OUT2" >&2; exit 1; }
 head -1 "$JOURNAL" | grep -q '^ssctl v2 ' || { echo "smoke: FAIL: journal header missing" >&2; exit 1; }
 grep -q 'recovered' "$ERR2" || { echo "smoke: FAIL: recovery summary missing from stderr" >&2; cat "$ERR2" >&2; exit 1; }
+
+# ── Phase 3: demand stepping and the bounded queue ─────────────────────────
+
+# A 2 s heartbeat, so only the request itself can close a fence inside
+# curl's 1 s budget. -cycles stretches one epoch to about 0.3 s (on a
+# 2-vCPU box): long enough that a parallel burst, ≈0.1 s to send, lands
+# while the engine is mid-epoch and overflows the 256-request queue, short
+# enough to ack in 1 s.
+BURST=300
+"$BIN" -addr-file "$ADDR_FILE" -journal "$JOURNAL3" -epoch-ms 2000 -cycles 250000 >"$OUT3" 2>"$ERR3" &
+PID=$!
+trap 'kill "$PID" 2>/dev/null || true' EXIT
+wait_addr
+echo "smoke: demand-stepping daemon on $ADDR"
+post offering 'frames=1' 200                   # retries past the boot window
+
+code=$(curl -s --max-time 1 -o /dev/null -w '%{http_code}' \
+    -X POST "http://$ADDR/admin/admit?id=1&class=edf&period=3") || code=000
+if [ "$code" != "200" ]; then
+    echo "smoke: FAIL: admit at -epoch-ms 2000 -> HTTP $code within 1 s, want 200 (the request must step the engine)" >&2
+    exit 1
+fi
+
+# Evictions of unknown streams: each one that reaches a fence is a 409, each
+# one that finds the queue full a 429, and nothing else may come back.
+curl -s --max-time 30 -Z --parallel-immediate --parallel-max "$BURST" -o /dev/null -w '%{http_code}\n' \
+    -X POST "http://$ADDR/admin/evict?id=[1001-$((1000 + BURST))]" \
+    >"$SMOKE_DIR/burst-codes.txt" 2>"$SMOKE_DIR/burst-stderr.log" || true
+refused=$(grep -c '^429$' "$SMOKE_DIR/burst-codes.txt" || true)
+fenced=$(grep -c '^409$' "$SMOKE_DIR/burst-codes.txt" || true)
+if [ "$refused" -lt 1 ] || [ "$((refused + fenced))" -ne "$BURST" ]; then
+    echo "smoke: FAIL: burst of $BURST past the queue: $refused x 429, $fenced x 409" >&2
+    sort "$SMOKE_DIR/burst-codes.txt" | uniq -c >&2
+    exit 1
+fi
+echo "smoke: burst of $BURST: $fenced answered at a fence, $refused refused with 429"
+
+post shutdown '' 200
+if ! wait "$PID"; then
+    echo "smoke: FAIL: demand-stepping daemon exited nonzero" >&2
+    cat "$ERR3" >&2
+    exit 1
+fi
+trap - EXIT
+grep -q '"balanced": true' "$OUT3" || { echo "smoke: FAIL: final ledger unbalanced after the burst" >&2; cat "$OUT3" >&2; exit 1; }
+grep -q '"InFlight": 0' "$OUT3" || { echo "smoke: FAIL: frames in flight at exit after the burst" >&2; cat "$OUT3" >&2; exit 1; }
+grep -q '"violations": 0' "$OUT3" || { echo "smoke: FAIL: conservation violations after the burst" >&2; cat "$OUT3" >&2; exit 1; }
 
 echo "smoke: PASS ($(wc -l <"$JOURNAL") journal lines across crash and recovery)"
