@@ -118,11 +118,14 @@ cover:
 
 # Chaos gate: the fault-injection suite under the race detector (trace
 # determinism, frame conservation, bounded recovery, nil-injector parity
-# with the paper figures), then a seeded end-to-end fault sweep through
-# ssbench. The same seed replays the same fault/recovery trace — a chaos
-# failure is reproducible from its seed alone.
+# with the paper figures), plus the pipeline's own two: the three-driver
+# differential (threaded ≡ run-to-completion ≡ supervised-with-no-faults) and
+# the bus-giveup goroutine-leak test, so this required leg exercises both
+# drivers under -race. Then a seeded end-to-end fault sweep through ssbench.
+# The same seed replays the same fault/recovery trace — a chaos failure is
+# reproducible from its seed alone.
 chaos:
-	go test -race -run 'TestChaos|TestSupervised|TestReuseAfterRestart' \
+	go test -race -run 'TestChaos|TestSupervised|TestReuseAfterRestart|TestPipelineDriversAgree|TestRunPipelineMeterErrorUnblocksPipeline' \
 		./internal/fault/ ./internal/shard/ ./internal/ringbuf/
 	go run ./cmd/ssbench -shards 2 -seed 1 faults
 	go run ./cmd/ssbench -shards 3 -seed 42 faults

@@ -414,7 +414,8 @@ func sharded(csvPath string, shards int, reg *obs.Registry) error {
 	)
 	fmt.Printf("Sharded endsystem — %d scheduler pipelines × %d streams, %d frames/stream, PIO batching\n",
 		shards, slotsPerShard, framesPerStream)
-	res, err := endsystem.RunShardedInstrumented(shards, slotsPerShard, framesPerStream, pci.ModePIO, reg)
+	res, err := endsystem.RunShardedOpts(shards, slotsPerShard, framesPerStream,
+		endsystem.ShardedOptions{Mode: pci.ModePIO, Registry: reg})
 	if err != nil {
 		return err
 	}

@@ -8,12 +8,13 @@
 //   - Throughput computes the §5.2 operating points: packets/second with
 //     transfers excluded (the paper's 469,483 pps), with PIO transfers
 //     (299,065 pps) and with DMA pulls (the peer-peer enhancement §5.2
-//     anticipates). RunPipeline additionally drives a real three-stage
-//     concurrent pipeline — producer → per-stream rings → scheduler → tx
-//     ring → transmission engine — to validate the synchronization-free
-//     structure end to end (frame conservation, no locks), while the
-//     timing itself comes from the calibrated cost model so results stay
-//     deterministic.
+//     anticipates). The RunSharded family and RunPipeline (its K=1 case)
+//     additionally drive the real concurrent pipeline — producer →
+//     per-stream rings → scheduler → tx ring → transmission engine, the one
+//     in package shard — over an evenly loaded router, to validate the
+//     synchronization-free structure end to end (frame conservation, no
+//     locks), while the timing itself comes from the calibrated cost model
+//     so results stay deterministic.
 //
 //   - RunAllocation drives the bandwidth-allocation experiments of Figures
 //     8–10: backlogged or bursty streams with rate ratios enforced by EDF
@@ -24,32 +25,29 @@ package endsystem
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/attr"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pci"
-	"repro/internal/qm"
 	"repro/internal/regblock"
-	"repro/internal/ringbuf"
+	"repro/internal/shard"
 	"repro/internal/traffic"
 	"repro/internal/txengine"
 )
 
-// HostCostNs is the calibrated per-packet Stream-processor cost (Queue
-// Manager dequeue + Transmission Engine DMA setup) on the paper's 500 MHz
-// Pentium III host: 2130 ns per packet yields the §5.2 operating point of
-// 469,483 packets/s when PCI transfer time is excluded.
-const HostCostNs = 2130.0
+// HostCostNs is the calibrated per-packet Stream-processor cost, 2130 ns:
+// the §5.2 operating point of 469,483 packets/s when PCI transfer time is
+// excluded. It is shard.DefaultHostNs under the name the drivers use.
+const HostCostNs = shard.DefaultHostNs
 
 // TransferBatch is the arrival-time/stream-ID batching factor used by the
 // §5.2 calibration (32 packets per PIO/DMA batch).
 const TransferBatch = 32
 
-// schedulerBatchCycles is how many decision cycles the drivers hand the
-// scheduler per core.RunCycles call: large enough to amortize the batch
+// schedulerBatchCycles is how many decision cycles RunAllocation — the only
+// scheduler loop left in this package; the pipeline's lives in shard — hands
+// the scheduler per core.RunCycles call: large enough to amortize the batch
 // entry over the hoisted per-cycle work, small enough that completion and
 // error conditions (checked in the visit callback) stop the run promptly.
 const schedulerBatchCycles = 256
@@ -94,10 +92,11 @@ type PipelineResult struct {
 }
 
 // RunPipeline pushes framesPerStream frames per stream through the full
-// concurrent pipeline: a producer goroutine filling the Queue Manager's
-// per-stream rings, the scheduler loop draining them through head-source
-// adapters and pushing scheduled IDs into a tx ring, and a Transmission
-// Engine goroutine consuming that ring — all over synchronization-free
+// concurrent pipeline — the K=1 case of the sharded endsystem: one shard of
+// slots streams under the three-goroutine driver (shard.Router.Run), a
+// producer filling the Queue Manager's per-stream rings, the scheduler loop
+// draining them through head-source adapters into the tx ring, and a
+// Transmission Engine goroutine consuming it — all over synchronization-free
 // SPSC rings, no locks. Timing comes from the calibrated cost model.
 func RunPipeline(slots, framesPerStream int, mode pci.Mode) (PipelineResult, error) {
 	return RunPipelineInstrumented(slots, framesPerStream, mode, nil)
@@ -110,168 +109,39 @@ func RunPipeline(slots, framesPerStream int, mode pci.Mode) (PipelineResult, err
 // (atomic core counters, observer-safe backlog) or read the full snapshot
 // after the run returns; the qm totals gauges are exact only once quiescent.
 func RunPipelineInstrumented(slots, framesPerStream int, mode pci.Mode, reg *obs.Registry) (PipelineResult, error) {
-	bus, err := pci.New(pci.DefaultConfig())
-	if err != nil {
-		return PipelineResult{}, err
-	}
-	return runPipeline(slots, framesPerStream, bus, bus.BatchMeter(mode), reg)
-}
-
-// runPipeline is RunPipeline with the transfer meter injected, so tests can
-// force metering failures and assert the goroutine lifecycle.
-func runPipeline(slots, framesPerStream int, bus *pci.Bus, meterBatch func(int) error, reg *obs.Registry) (PipelineResult, error) {
 	if slots < 2 || framesPerStream < 1 {
 		return PipelineResult{}, fmt.Errorf("endsystem: bad pipeline config (%d slots, %d frames)", slots, framesPerStream)
 	}
-	manager, err := qm.New(slots, 1024)
+	spec := attr.Spec{Class: attr.EDF, Period: uint16(slots)}
+	router, err := balancedRouter(1, slots, spec, shard.Config{Mode: mode})
 	if err != nil {
 		return PipelineResult{}, err
 	}
-	sched, err := core.New(core.Config{Slots: slots, Routing: core.WinnerOnly})
-	if err != nil {
-		return PipelineResult{}, err
-	}
-	for i := 0; i < slots; i++ {
-		spec := attr.Spec{Class: attr.EDF, Period: uint16(slots)}
-		if err := manager.Describe(i, spec); err != nil {
-			return PipelineResult{}, err
-		}
-		if err := sched.Admit(i, spec, manager.Source(i)); err != nil {
-			return PipelineResult{}, err
-		}
-	}
-
 	if reg != nil {
-		manager.RegisterMetrics(reg, "qm")
+		router.Manager(0).RegisterMetrics(reg, "qm")
 		m, err := core.NewMetrics(reg, "core", 256)
 		if err != nil {
 			return PipelineResult{}, err
 		}
-		if err := sched.Instrument(m); err != nil {
+		if err := router.Instrument(0, m); err != nil {
 			return PipelineResult{}, err
 		}
 	}
-
-	txRing, err := ringbuf.New[core.Transmission](1024)
+	res, err := router.Run(framesPerStream)
 	if err != nil {
 		return PipelineResult{}, err
 	}
-
-	// Cancellation: every spin loop below checks stop so an error on any
-	// exit path unblocks the producer and transmission-engine goroutines
-	// instead of leaving them spinning on Gosched forever.
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	cancel := func() { stopOnce.Do(func() { close(stop) }) }
-	stopped := func() bool {
-		select {
-		case <-stop:
-			return true
-		default:
-			return false
-		}
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-	fail := func(err error) (PipelineResult, error) {
-		cancel()
-		wg.Wait()
-		return PipelineResult{}, err
-	}
-
-	// Producer: the application filling per-stream queues.
-	go func() {
-		defer wg.Done()
-		for k := 0; k < framesPerStream; k++ {
-			for i := 0; i < slots; i++ {
-				f := qm.Frame{Size: 1500, Arrival: uint64(k)}
-				for !manager.Submit(i, f) {
-					if stopped() {
-						return
-					}
-					runtime.Gosched() // ring full: wait for the consumer
-				}
-			}
-		}
-	}()
-
-	// Transmission engine: drains scheduled IDs.
-	perStream := make([]uint64, slots)
-	var delivered uint64
-	total := uint64(slots * framesPerStream)
-	go func() {
-		defer wg.Done()
-		for delivered < total {
-			tx, ok := txRing.Pop()
-			if !ok {
-				if stopped() {
-					return
-				}
-				runtime.Gosched()
-				continue
-			}
-			perStream[tx.Slot]++
-			delivered++
-		}
-	}()
-
-	// Scheduler loop (this goroutine): run decision cycles until every
-	// frame has been scheduled; idle cycles occur when the producer is
-	// momentarily behind and cost nothing in the model (the hardware
-	// spins while the host catches up). Every TransferBatch scheduled
-	// frames, the run drives the actual PCI bus model: a push of
-	// arrival-time words in, a read of stream-ID words back — so the
-	// transfer time below is metered from bank switches and word counts,
-	// not assumed.
-	if err := sched.Start(); err != nil {
-		return fail(err)
-	}
-	var scheduled, sinceBatch uint64
-	var meterErr error
-	for scheduled < total && meterErr == nil {
-		sched.RunCycles(schedulerBatchCycles, func(cr *core.CycleResult) bool {
-			if cr.Idle {
-				runtime.Gosched() // producer momentarily behind
-			}
-			for _, tx := range cr.Transmissions {
-				for !txRing.Push(tx) {
-					runtime.Gosched() // tx ring full: engine backpressure
-				}
-				scheduled++
-				sinceBatch++
-				if sinceBatch == TransferBatch {
-					if err := meterBatch(TransferBatch); err != nil {
-						meterErr = err
-						return false
-					}
-					sinceBatch = 0
-				}
-			}
-			return scheduled < total
-		})
-	}
-	if meterErr != nil {
-		return fail(meterErr)
-	}
-	if sinceBatch > 0 {
-		if err := meterBatch(int(sinceBatch)); err != nil {
-			return fail(err)
-		}
-	}
-	wg.Wait()
-
-	virtual := float64(total)*HostCostNs + bus.BusyNs
-	res := PipelineResult{
-		Frames:       delivered,
-		PerStream:    perStream,
-		VirtualNs:    virtual,
-		PacketsPerS:  float64(total) / virtual * 1e9,
-		TransferNs:   bus.BusyNs,
+	// One shard, balanced admission: stream i sits in slot i.
+	sr, bus := res.PerShard[0], router.Bus(0)
+	return PipelineResult{
+		Frames:       res.Frames,
+		PerStream:    sr.PerSlot,
+		VirtualNs:    res.VirtualNs,
+		PacketsPerS:  res.PacketsPerS,
+		TransferNs:   sr.TransferNs,
 		BankSwitches: bus.BankSwitches,
 		Batches:      bus.Batches,
-	}
-	return res, nil
+	}, nil
 }
 
 // AllocationConfig parameterizes a bandwidth-allocation run (Figures 8–10).

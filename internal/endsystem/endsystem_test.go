@@ -1,11 +1,9 @@
 package endsystem
 
 import (
-	"errors"
 	"math"
-	"runtime"
+	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/pci"
@@ -219,28 +217,30 @@ func TestRunPipelineDMABetweenPIOAndNone(t *testing.T) {
 	}
 }
 
-// TestRunPipelineMeterErrorUnblocksPipeline forces a transfer-metering
-// failure mid-run and asserts the error path cancels the producer and
-// transmission-engine goroutines instead of leaving them spinning on
-// Gosched forever (a goroutine + CPU leak).
-func TestRunPipelineMeterErrorUnblocksPipeline(t *testing.T) {
-	before := runtime.NumGoroutine()
-	bus, err := pci.New(pci.DefaultConfig())
+// TestRunPipelineIsOneShardRouter pins RunPipeline as the K=1 case of the
+// sharded endsystem: the same frames, per-stream counts and modeled time as
+// a one-shard RunShardedOpts, still on the §5.2 PIO operating point.
+func TestRunPipelineIsOneShardRouter(t *testing.T) {
+	pipe, err := RunPipeline(4, 1600, pci.ModePIO)
 	if err != nil {
 		t.Fatal(err)
 	}
-	boom := errors.New("transfer meter failure")
-	if _, err := runPipeline(4, 8000, bus, func(int) error { return boom }, nil); !errors.Is(err, boom) {
-		t.Fatalf("error = %v, want %v", err, boom)
+	sharded, err := RunShardedOpts(1, 4, 1600, ShardedOptions{Mode: pci.ModePIO})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The error return waits for the pipeline goroutines; allow a moment
-	// for unrelated runtime goroutines to settle.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	if pipe.Frames != sharded.Frames || pipe.Frames != 6400 {
+		t.Fatalf("frames: pipeline %d, one-shard router %d, want 6400", pipe.Frames, sharded.Frames)
 	}
-	if g := runtime.NumGoroutine(); g > before {
-		t.Fatalf("pipeline goroutines leaked: %d running, %d before", g, before)
+	if !reflect.DeepEqual(pipe.PerStream, sharded.PerShard[0].PerSlot) {
+		t.Fatalf("per-stream counts: pipeline %v, one-shard router %v", pipe.PerStream, sharded.PerShard[0].PerSlot)
+	}
+	if pipe.VirtualNs != sharded.VirtualNs || pipe.PacketsPerS != sharded.PacketsPerS {
+		t.Fatalf("modeled time: pipeline %v ns / %v pps, one-shard router %v ns / %v pps",
+			pipe.VirtualNs, pipe.PacketsPerS, sharded.VirtualNs, sharded.PacketsPerS)
+	}
+	if int(pipe.PacketsPerS) != 299065 {
+		t.Fatalf("metered rate = %d pps, want 299065", int(pipe.PacketsPerS))
 	}
 }
 

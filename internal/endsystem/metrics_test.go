@@ -55,7 +55,7 @@ func TestPipelineInstrumented(t *testing.T) {
 func TestShardedInstrumented(t *testing.T) {
 	reg := obs.NewRegistry()
 	const shards, slotsPer, frames = 4, 4, 200
-	res, err := RunShardedInstrumented(shards, slotsPer, frames, pci.ModeNone, reg)
+	res, err := RunShardedOpts(shards, slotsPer, frames, ShardedOptions{Mode: pci.ModeNone, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

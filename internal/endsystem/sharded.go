@@ -12,39 +12,45 @@ import (
 	"repro/internal/shard"
 )
 
+// balancedRouter builds the evenly loaded endsystem every sharded driver
+// here runs: shards schedulers of slotsPerShard slots under the §5.2
+// calibration (HostCostNs per packet, TransferBatch frames per metered PCI
+// batch), filled with shards×slotsPerShard streams of spec by
+// flow-hash-balanced admission. opts carries the caller's optional machinery
+// (Mode, Program, RunToCompletion, BufferPool); the sizing and calibration
+// fields are set here.
+func balancedRouter(shards, slotsPerShard int, spec attr.Spec, opts shard.Config) (*shard.Router, error) {
+	opts.Shards = shards
+	opts.SlotsPerShard = slotsPerShard
+	opts.HostNs = HostCostNs
+	opts.TransferBatch = TransferBatch
+	router, err := shard.New(opts)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := router.AdmitBalanced(shards*slotsPerShard, spec); err != nil {
+		return nil, fmt.Errorf("endsystem: sharded admission: %w", err)
+	}
+	return router, nil
+}
+
 // RunSharded drives the sharded endsystem: shards independent scheduler
-// pipelines, each sized slotsPerShard, evenly loaded with shards×slotsPerShard
-// streams via flow-hash-balanced admission, pushing framesPerStream frames
-// per stream under the §5.2 calibration (HostCostNs per packet, TransferBatch
-// frames per metered PCI batch). Modeled completion time is the maximum over
-// shards, so the aggregate PacketsPerS of a 1-shard run reproduces the
-// single-pipeline operating points (469,483 pps ModeNone) and K evenly
-// loaded shards report ≈K× that.
+// pipelines, each sized slotsPerShard, evenly loaded (balancedRouter),
+// pushing framesPerStream frames per stream. Modeled completion time is the
+// maximum over shards, so the aggregate PacketsPerS of a 1-shard run
+// reproduces the single-pipeline operating points (469,483 pps ModeNone) and
+// K evenly loaded shards report ≈K× that.
 func RunSharded(shards, slotsPerShard, framesPerStream int, mode pci.Mode) (*shard.Result, error) {
-	return RunShardedInstrumented(shards, slotsPerShard, framesPerStream, mode, nil)
-}
-
-// RunShardedRTC is RunSharded with the run-to-completion shard loop: each
-// shard pipeline runs produce → schedule → transmit on one pinned OS thread
-// in batched epochs instead of three goroutines spin-waiting on rings, with
-// counters and bandwidth published per epoch. Results are equivalent; wall
-// throughput is what changes.
-func RunShardedRTC(shards, slotsPerShard, framesPerStream int, mode pci.Mode) (*shard.Result, error) {
-	return RunShardedOpts(shards, slotsPerShard, framesPerStream, ShardedOptions{Mode: mode, RunToCompletion: true})
-}
-
-// RunShardedInstrumented is RunSharded with an observability registry
-// attached: the router publishes its shard.* dispatcher and throughput
-// metrics (per-shard delivered counters are atomic, so scraping mid-run is
-// race-free). A nil reg degrades to the uninstrumented RunSharded.
-func RunShardedInstrumented(shards, slotsPerShard, framesPerStream int, mode pci.Mode, reg *obs.Registry) (*shard.Result, error) {
-	return RunShardedOpts(shards, slotsPerShard, framesPerStream, ShardedOptions{Mode: mode, Registry: reg})
+	return RunShardedOpts(shards, slotsPerShard, framesPerStream, ShardedOptions{Mode: mode})
 }
 
 // ShardedOptions selects the optional machinery of a sharded endsystem run:
-// PCI metering mode, an observability registry, the run-to-completion shard
-// loop, and the delay-driven shared buffer pool (a zero BufferPool keeps the
-// historical fixed per-stream rings).
+// PCI metering mode, an observability registry (the router publishes its
+// shard.* dispatcher and throughput metrics there; per-shard delivered
+// counters are atomic, so scraping mid-run is race-free), the
+// run-to-completion pipeline driver (shard.Config.RunToCompletion: same
+// results, higher wall throughput), and the delay-driven shared buffer pool
+// (a zero BufferPool keeps the historical fixed per-stream rings).
 type ShardedOptions struct {
 	Mode            pci.Mode
 	Registry        *obs.Registry
@@ -52,27 +58,16 @@ type ShardedOptions struct {
 	BufferPool      qm.SharedConfig
 }
 
-// RunShardedOpts is the general sharded driver the named entry points wrap:
-// the same evenly-loaded endsystem under the §5.2 calibration, with opts
-// choosing metering, instrumentation, the shard loop, and the buffering
-// organization.
+// RunShardedOpts is RunSharded with the optional machinery selectable.
 func RunShardedOpts(shards, slotsPerShard, framesPerStream int, opts ShardedOptions) (*shard.Result, error) {
-	router, err := shard.New(shard.Config{
-		Shards:          shards,
-		SlotsPerShard:   slotsPerShard,
-		HostNs:          HostCostNs,
+	spec := attr.Spec{Class: attr.EDF, Period: uint16(slotsPerShard)}
+	router, err := balancedRouter(shards, slotsPerShard, spec, shard.Config{
 		Mode:            opts.Mode,
-		TransferBatch:   TransferBatch,
 		RunToCompletion: opts.RunToCompletion,
 		BufferPool:      opts.BufferPool,
 	})
 	if err != nil {
 		return nil, err
-	}
-	streams := shards * slotsPerShard
-	spec := attr.Spec{Class: attr.EDF, Period: uint16(slotsPerShard)}
-	if _, err := router.AdmitBalanced(streams, spec); err != nil {
-		return nil, fmt.Errorf("endsystem: sharded admission: %w", err)
 	}
 	if opts.Registry != nil {
 		router.RegisterMetrics(opts.Registry, "shard")
@@ -122,20 +117,9 @@ func programSpec(p decision.Program, slotsPerShard int) attr.Spec {
 // iterates this over decision.Programs() so fault recovery is exercised
 // under every discipline, not just the EDF default.
 func RunShardedSupervisedProgram(shards, slotsPerShard, framesPerStream int, mode pci.Mode, p decision.Program, schedule *fault.Schedule, rcfg shard.RecoveryConfig, trace *fault.Trace) (*shard.SupervisedResult, error) {
-	router, err := shard.New(shard.Config{
-		Shards:        shards,
-		SlotsPerShard: slotsPerShard,
-		HostNs:        HostCostNs,
-		Mode:          mode,
-		TransferBatch: TransferBatch,
-		Program:       p,
-	})
+	router, err := balancedRouter(shards, slotsPerShard, programSpec(p, slotsPerShard), shard.Config{Mode: mode, Program: p})
 	if err != nil {
 		return nil, err
-	}
-	streams := shards * slotsPerShard
-	if _, err := router.AdmitBalanced(streams, programSpec(p, slotsPerShard)); err != nil {
-		return nil, fmt.Errorf("endsystem: sharded admission: %w", err)
 	}
 	return router.RunSupervised(framesPerStream, schedule, rcfg, trace)
 }

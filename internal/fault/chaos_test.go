@@ -201,31 +201,53 @@ func TestChaosBoundedRecovery(t *testing.T) {
 // run's figures exactly — same frames, same hardware service count, no
 // recovery actions, empty trace.
 func TestChaosNilInjectorMatchesPlainRun(t *testing.T) {
-	const shards, slots, frames = 2, 4, 200
-	plain, err := endsystem.RunSharded(shards, slots, frames, pci.ModeNone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tr fault.Trace
-	supd, err := endsystem.RunShardedSupervised(
-		shards, slots, frames, pci.ModeNone, nil, shard.RecoveryConfig{}, &tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if supd.Delivered != plain.Frames {
-		t.Fatalf("supervised delivered %d, plain %d", supd.Delivered, plain.Frames)
-	}
-	if supd.Counters.Services != plain.Counters.Services {
-		t.Fatalf("service counters diverge: %d vs %d", supd.Counters.Services, plain.Counters.Services)
-	}
-	if supd.Rounds != 1 || supd.Restarts != 0 || supd.Dropped != 0 || len(supd.DeadShards) != 0 {
-		t.Fatalf("nil injector triggered recovery: %+v", supd)
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("nil injector wrote a trace:\n%s", tr.String())
-	}
-	if supd.VirtualNs <= 0 || supd.PacketsPerS <= 0 {
-		t.Fatalf("figures missing: %+v", supd)
+	const shards, slots = 2, 4
+	// 201 frames per stream leaves a trailing partial PCI batch on every
+	// shard: the metered case pins that both runs charge it.
+	for _, tc := range []struct {
+		mode   pci.Mode
+		frames int
+	}{
+		{pci.ModeNone, 200},
+		{pci.ModePIO, 201},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			plain, err := endsystem.RunSharded(shards, slots, tc.frames, tc.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tr fault.Trace
+			supd, err := endsystem.RunShardedSupervised(
+				shards, slots, tc.frames, tc.mode, nil, shard.RecoveryConfig{}, &tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if supd.Delivered != plain.Frames {
+				t.Fatalf("supervised delivered %d, plain %d", supd.Delivered, plain.Frames)
+			}
+			if supd.Counters.Services != plain.Counters.Services {
+				t.Fatalf("service counters diverge: %d vs %d", supd.Counters.Services, plain.Counters.Services)
+			}
+			if supd.Rounds != 1 || supd.Restarts != 0 || supd.Dropped != 0 || len(supd.DeadShards) != 0 {
+				t.Fatalf("nil injector triggered recovery: %+v", supd)
+			}
+			if tr.Len() != 0 {
+				t.Fatalf("nil injector wrote a trace:\n%s", tr.String())
+			}
+			if supd.VirtualNs != plain.VirtualNs || supd.PacketsPerS != plain.PacketsPerS {
+				t.Fatalf("modeled time: supervised %v ns / %v pps, plain %v ns / %v pps",
+					supd.VirtualNs, supd.PacketsPerS, plain.VirtualNs, plain.PacketsPerS)
+			}
+			// Evenly loaded shards deliver the same frame count, so each
+			// plain shard's modeled time (host cost + its own bus's BusyNs)
+			// must equal the supervised maximum: no bus metered less.
+			for _, sr := range plain.PerShard {
+				if sr.Frames != supd.PerShardDelivered[sr.Shard] || sr.VirtualNs != supd.VirtualNs {
+					t.Fatalf("shard %d: plain %d frames in %v ns (bus %v ns), supervised %d frames, max %v ns",
+						sr.Shard, sr.Frames, sr.VirtualNs, sr.TransferNs, supd.PerShardDelivered[sr.Shard], supd.VirtualNs)
+				}
+			}
+		})
 	}
 }
 

@@ -13,6 +13,12 @@
 // An aggregator merges the per-shard regblock.Counters and bandwidth series
 // into one endsystem view.
 //
+// The Figure 3 pipeline itself — produce → schedule → PCI-batch → transmit —
+// is written once (pipeline.go) with two drivers, three goroutines or one
+// pinned thread. Run is one pipeline per shard; RunSupervised (supervisor.go)
+// is rounds of the same pipelines under a fault schedule; live mode (live.go)
+// hands the bare schedule phase to a control plane.
+//
 // # Modeled time
 //
 // Shards run in parallel, so the modeled completion time of a sharded run
@@ -28,8 +34,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,6 +41,7 @@ import (
 	"repro/internal/attr"
 	"repro/internal/core"
 	"repro/internal/decision"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/pci"
 	"repro/internal/qm"
@@ -45,18 +50,12 @@ import (
 	"repro/internal/stats"
 )
 
-// DefaultHostNs is the calibrated per-packet Stream-processor cost
-// (endsystem.HostCostNs; restated here because the endsystem driver layers
-// on top of this package).
+// DefaultHostNs is the calibrated per-packet Stream-processor cost (Queue
+// Manager dequeue + Transmission Engine DMA setup) on the paper's 500 MHz
+// Pentium III host: 2130 ns per packet yields the §5.2 operating point of
+// 469,483 packets/s when PCI transfer time is excluded. The endsystem driver
+// layers on top of this package and re-exports it as endsystem.HostCostNs.
 const DefaultHostNs = 2130.0
-
-// errCanceled marks a shard that aborted because a sibling failed.
-var errCanceled = errors.New("shard: run canceled")
-
-// schedulerBatchCycles is how many decision cycles each shard hands its
-// scheduler per core.RunCycles call; cancellation is still observed inside
-// the visit callback (on ring backpressure) and between batches.
-const schedulerBatchCycles = 256
 
 // StreamID identifies a stream across the whole sharded endsystem; the
 // per-shard slot indices are an internal detail of the dispatcher.
@@ -92,20 +91,12 @@ type Config struct {
 	// full Table-2 datapath — the historical behavior. Admitted specs must
 	// still be legal under the derived mode (core.Admit enforces this).
 	Program decision.Program
-	// RunToCompletion selects the run-to-completion shard loop for Run:
-	// instead of three goroutines per shard (producer, scheduler,
-	// transmission engine) handing frames across spin-waited SPSC rings,
-	// one goroutine per shard pins its OS thread (runtime.LockOSThread)
-	// and runs produce → schedule → transmit phases to completion in
-	// batched epochs, publishing the delivered-frame counter and the
-	// bandwidth meter once per epoch instead of once per frame. Modeled
-	// time, per-slot accounting, PCI metering and the SPSC ring contracts
-	// are unchanged — each ring still has exactly one producer and one
-	// consumer, they just alternate phases on the same thread — so results
-	// are equivalent; what changes is that the simulation stops paying
-	// cross-goroutine handoffs and per-frame atomics on the hot path.
-	// RunSupervised ignores the flag: the supervisor's barrier-phased
-	// rounds and fault injection run exactly as before.
+	// RunToCompletion selects Run's pipeline driver: instead of three
+	// goroutines per shard handing frames across spin-waited SPSC rings, one
+	// pinned thread per shard runs every phase in batched epochs (see
+	// pipeline.runToCompletion). Modeled results are the same; wall
+	// throughput is what changes. RunSupervised ignores the flag: its rounds
+	// always run the threaded driver.
 	RunToCompletion bool
 	// BufferPool, when its Reservation is non-zero, replaces each shard's
 	// fixed per-stream rings (RingCapacity) with the Queue Manager's
@@ -432,13 +423,10 @@ func MergeCounters(cs ...regblock.Counters) regblock.Counters {
 	return t
 }
 
-// Run pushes framesPerStream frames through every admitted stream: each
-// shard concurrently runs the full Figure 3 pipeline — a producer filling
-// its Queue Manager's per-stream rings, the scheduler loop draining them
-// into the shard's tx ring with PCI batches metered on the shard's own
-// bus, and a transmission-engine consumer — then the per-shard results are
-// merged. Run may be called once per Router.
-func (r *Router) Run(framesPerStream int) (*Result, error) {
+// begin opens a batch run (Run or RunSupervised, once per Router): it
+// validates the request, starts every shard's scheduler and builds the
+// per-shard pipelines, each with its slice of schedule (nil: no faults).
+func (r *Router) begin(framesPerStream int, schedule *fault.Schedule) ([]*pipeline, error) {
 	if r.ran {
 		return nil, fmt.Errorf("shard: Run called twice")
 	}
@@ -449,6 +437,38 @@ func (r *Router) Run(framesPerStream int) (*Result, error) {
 		return nil, fmt.Errorf("shard: no streams admitted")
 	}
 	r.ran = true
+	pipes := make([]*pipeline, len(r.shards))
+	for k, s := range r.shards {
+		if err := s.sched.Start(); err != nil {
+			return nil, fmt.Errorf("shard %d: %w", k, err)
+		}
+		pipes[k] = &pipeline{
+			s:          s,
+			cfg:        &r.cfg,
+			fps:        uint64(framesPerStream),
+			plan:       schedule.Shard(k),
+			armed:      make([]uint64, len(s.streams)),
+			produced:   make([]uint64, len(s.streams)),
+			perSlot:    make([]uint64, r.cfg.SlotsPerShard),
+			meterBatch: s.bus.BatchMeter(r.cfg.Mode),
+			target:     uint64(len(s.streams)) * uint64(framesPerStream),
+		}
+	}
+	return pipes, nil
+}
+
+// Run pushes framesPerStream frames through every admitted stream: each
+// shard concurrently runs the full Figure 3 pipeline (pipeline.go) — the
+// three-goroutine driver, or the run-to-completion one under
+// Config.RunToCompletion — with no fault plan and a bandwidth meter
+// attached, then the per-shard results are merged. There is no supervisor
+// here: a pipeline that crashes (a PCI transfer giving up) fails the run and
+// aborts its siblings. Run may be called once per Router.
+func (r *Router) Run(framesPerStream int) (*Result, error) {
+	pipes, err := r.begin(framesPerStream, nil)
+	if err != nil {
+		return nil, err
+	}
 
 	// One window size for every shard keeps the per-shard bandwidth
 	// series index-aligned, so the aggregator can sum them window by
@@ -461,63 +481,61 @@ func (r *Router) Run(framesPerStream int) (*Result, error) {
 	}
 	windowNs := float64(maxStreams*framesPerStream) * r.cfg.HostNs / float64(r.cfg.MeterWindows)
 
-	// A failure in any shard cancels every spin loop in every shard.
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	cancel := func() { stopOnce.Do(func() { close(stop) }) }
-
-	results := make([]ShardResult, len(r.shards))
-	errCh := make(chan error, len(r.shards))
+	drive := (*pipeline).runThreaded
+	if r.cfg.RunToCompletion {
+		drive = (*pipeline).runToCompletion
+	}
+	// A failure in any shard halts every phase of every shard.
+	abort := func() {
+		for _, p := range pipes {
+			p.halt.Store(true)
+		}
+	}
+	errs := make([]error, len(pipes))
 	var wg sync.WaitGroup
 	start := time.Now() //sslint:allow walltime — aggregate throughput is reported in real wall-clock terms
-	for _, s := range r.shards {
+	for k, p := range pipes {
+		if p.target == 0 {
+			continue // nothing flow-hashed here; the shard idles out the run
+		}
+		if p.meter, errs[k] = stats.NewBandwidthMeter(1, windowNs); errs[k] != nil {
+			abort()
+			break
+		}
 		wg.Add(1)
-		go func(s *shardState) {
+		go func(k int, p *pipeline) {
 			defer wg.Done()
-			run := r.runShard
-			if r.cfg.RunToCompletion {
-				run = r.runShardRTC
+			err := drive(p)
+			switch {
+			case err != nil:
+			case p.crash != nil:
+				err = p.crash.err
+			case p.owed() == 0: // otherwise halted by a sibling's failure: nothing to add
+				err = p.flushTail()
 			}
-			res, err := run(s, framesPerStream, windowNs, stop, cancel)
 			if err != nil {
-				cancel()
-				errCh <- fmt.Errorf("shard %d: %w", s.index, err)
-				return
+				abort()
+				errs[k] = fmt.Errorf("shard %d: %w", k, err)
 			}
-			results[s.index] = res
-		}(s)
+		}(k, p)
 	}
 	wg.Wait()
 	wallNs := float64(time.Since(start)) //sslint:allow walltime — wall-clock scaling: aggregate throughput is reported in real elapsed time by design
-	close(errCh)
-	var failures, cancellations []error
-	for err := range errCh {
-		if errors.Is(err, errCanceled) {
-			cancellations = append(cancellations, err)
-			continue
-		}
-		failures = append(failures, err)
-	}
-	if len(failures) > 0 {
-		// Every real failure is reported, each annotated with its shard
-		// index; sibling cancellations are consequences, not causes, and are
-		// dropped when a root cause exists. Sort for a deterministic join
-		// order — errCh receives in goroutine-completion order.
-		sort.Slice(failures, func(i, j int) bool { return failures[i].Error() < failures[j].Error() })
-		return nil, errors.Join(failures...)
-	}
-	if len(cancellations) > 0 {
-		return nil, cancellations[0]
+	// Every failure is reported, annotated with its shard index, in shard
+	// order (Join drops the nils).
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 
 	out := &Result{
-		Shards:   len(r.shards),
-		Streams:  len(r.byID),
-		PerShard: results,
-		WallNs:   wallNs,
+		Shards:  len(r.shards),
+		Streams: len(r.byID),
+		WallNs:  wallNs,
 	}
-	series := make([][]stats.Point, 0, len(results))
-	for _, sr := range results {
+	series := make([][]stats.Point, 0, len(pipes))
+	for _, p := range pipes {
+		sr := p.result()
+		out.PerShard = append(out.PerShard, sr)
 		out.Frames += sr.Frames
 		out.Counters = MergeCounters(out.Counters, sr.Counters)
 		if sr.VirtualNs > out.VirtualNs {
@@ -535,264 +553,24 @@ func (r *Router) Run(framesPerStream int) (*Result, error) {
 	return out, nil
 }
 
-// runShard executes one shard's pipeline to completion.
-func (r *Router) runShard(s *shardState, framesPerStream int, windowNs float64, stop <-chan struct{}, cancel func()) (ShardResult, error) {
-	cfg := r.cfg
-	n := len(s.streams)
-	res := ShardResult{Shard: s.index, Streams: n, PerSlot: make([]uint64, cfg.SlotsPerShard)}
-	if err := s.sched.Start(); err != nil {
-		return res, err
+// result reports a finished plain run's pipeline.
+func (p *pipeline) result() ShardResult {
+	s := p.s
+	res := ShardResult{
+		Shard:      s.index,
+		Streams:    len(s.streams),
+		Frames:     p.delivered,
+		PerSlot:    p.perSlot,
+		Decisions:  s.sched.Decisions(),
+		IdleCycles: s.sched.IdleCycles(),
+		VirtualNs:  p.virtualNs(),
+		TransferNs: s.bus.BusyNs,
+		Counters:   s.sched.Totals(),
+		QM:         s.manager.Totals(),
 	}
-	total := uint64(n) * uint64(framesPerStream)
-	if total == 0 {
-		// Nothing flow-hashed here; the shard idles out the run.
-		return res, nil
+	if p.meter != nil {
+		p.meter.Finish()
+		res.Bandwidth = p.meter.Series(0)
 	}
-	meter, err := stats.NewBandwidthMeter(1, windowNs)
-	if err != nil {
-		return res, err
-	}
-
-	stopped := func() bool {
-		select {
-		case <-stop:
-			return true
-		default:
-			return false
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	fail := func(err error) (ShardResult, error) {
-		cancel()
-		wg.Wait()
-		return res, err
-	}
-
-	// Producer: one per shard, so the per-stream rings stay SPSC.
-	go func() {
-		defer wg.Done()
-		for k := 0; k < framesPerStream; k++ {
-			for slot := 0; slot < n; slot++ {
-				f := qm.Frame{Size: cfg.FrameBytes, Arrival: uint64(k)}
-				for !s.manager.Submit(slot, f) {
-					if stopped() {
-						return
-					}
-					runtime.Gosched() // ring full: wait for the scheduler
-				}
-			}
-		}
-	}()
-
-	// Transmission engine: drains scheduled IDs, metering delivered bytes
-	// against the shard's modeled clock (one host cost per frame).
-	var delivered uint64
-	go func() {
-		defer wg.Done()
-		for delivered < total {
-			tx, ok := s.txRing.Pop()
-			if !ok {
-				if stopped() {
-					return
-				}
-				runtime.Gosched()
-				continue
-			}
-			res.PerSlot[tx.Slot]++
-			delivered++
-			if s.delivered != nil {
-				s.delivered.Inc()
-			}
-			// Record cannot fail here: stream 0 exists and the modeled
-			// clock is monotone.
-			_ = meter.Record(0, cfg.FrameBytes, float64(delivered)*cfg.HostNs)
-		}
-	}()
-
-	// Scheduler loop (this goroutine).
-	meterBatch := s.bus.BatchMeter(cfg.Mode)
-	var scheduled, sinceBatch uint64
-	var loopErr error
-	for scheduled < total && loopErr == nil {
-		if stopped() {
-			return fail(errCanceled)
-		}
-		s.sched.RunCycles(schedulerBatchCycles, func(cr *core.CycleResult) bool {
-			if cr.Idle {
-				runtime.Gosched() // producer momentarily behind
-			}
-			for _, tx := range cr.Transmissions {
-				for !s.txRing.Push(tx) {
-					if stopped() {
-						loopErr = errCanceled
-						return false
-					}
-					runtime.Gosched() // tx ring full: engine backpressure
-				}
-				scheduled++
-				sinceBatch++
-				if sinceBatch == uint64(cfg.TransferBatch) {
-					if err := meterBatch(cfg.TransferBatch); err != nil {
-						loopErr = err
-						return false
-					}
-					sinceBatch = 0
-				}
-			}
-			return scheduled < total
-		})
-	}
-	if loopErr != nil {
-		return fail(loopErr)
-	}
-	if sinceBatch > 0 {
-		if err := meterBatch(int(sinceBatch)); err != nil {
-			return fail(err)
-		}
-	}
-	wg.Wait()
-	meter.Finish()
-
-	res.Frames = delivered
-	res.Decisions = s.sched.Decisions()
-	res.IdleCycles = s.sched.IdleCycles()
-	res.TransferNs = s.bus.BusyNs
-	res.VirtualNs = float64(total)*cfg.HostNs + s.bus.BusyNs
-	res.Counters = s.sched.Totals()
-	res.QM = s.manager.Totals()
-	res.Bandwidth = meter.Series(0)
-	return res, nil
-}
-
-// rtcIdleLimit bounds consecutive run-to-completion epochs without progress
-// before the shard declares itself wedged — a safety valve against a
-// misaccounted target, not a modeled timeout.
-const rtcIdleLimit = 1 << 14
-
-// runShardRTC is runShard in run-to-completion form: the calling goroutine
-// pins its OS thread and cycles produce → schedule → transmit epochs until
-// the shard's share of the run is delivered. Each epoch tops up every
-// stream ring from the frame iterator, hands the scheduler one
-// schedulerBatchCycles batch (draining the tx ring inline when it fills —
-// this thread owns both ends), drains the scheduled IDs, and only then
-// publishes the epoch's deliveries: one atomic Add on the obs counter and
-// one batched bandwidth-meter record, instead of a per-frame Inc and
-// Record. Ring contracts stay SPSC — one producer, one consumer, in
-// alternating phases on one thread.
-func (r *Router) runShardRTC(s *shardState, framesPerStream int, windowNs float64, stop <-chan struct{}, cancel func()) (ShardResult, error) {
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
-	cfg := r.cfg
-	n := len(s.streams)
-	res := ShardResult{Shard: s.index, Streams: n, PerSlot: make([]uint64, cfg.SlotsPerShard)}
-	if err := s.sched.Start(); err != nil {
-		return res, err
-	}
-	total := uint64(n) * uint64(framesPerStream)
-	if total == 0 {
-		// Nothing flow-hashed here; the shard idles out the run.
-		return res, nil
-	}
-	meter, err := stats.NewBandwidthMeter(1, windowNs)
-	if err != nil {
-		return res, err
-	}
-	stopped := func() bool {
-		select {
-		case <-stop:
-			return true
-		default:
-			return false
-		}
-	}
-
-	meterBatch := s.bus.BatchMeter(cfg.Mode)
-	produced := make([]uint64, n)
-	var delivered, scheduled, sinceBatch, epochDelivered uint64
-	drainOne := func() bool {
-		tx, ok := s.txRing.Pop()
-		if !ok {
-			return false
-		}
-		res.PerSlot[tx.Slot]++
-		delivered++
-		epochDelivered++
-		return true
-	}
-	idleEpochs := 0
-	for delivered < total {
-		if stopped() {
-			return res, errCanceled
-		}
-		progressed := false
-		// Produce: top up every stream ring from the frame iterator.
-		for slot := 0; slot < n; slot++ {
-			for produced[slot] < uint64(framesPerStream) {
-				if !s.manager.Submit(slot, qm.Frame{Size: cfg.FrameBytes, Arrival: produced[slot]}) {
-					break // ring full: the scheduler phase makes room
-				}
-				produced[slot]++
-				progressed = true
-			}
-		}
-		// Schedule: one batched epoch.
-		var loopErr error
-		s.sched.RunCycles(schedulerBatchCycles, func(cr *core.CycleResult) bool {
-			for _, tx := range cr.Transmissions {
-				for !s.txRing.Push(tx) {
-					drainOne() // tx ring full: consume in place
-				}
-				scheduled++
-				progressed = true
-				sinceBatch++
-				if sinceBatch == uint64(cfg.TransferBatch) {
-					sinceBatch = 0
-					if err := meterBatch(cfg.TransferBatch); err != nil {
-						loopErr = err
-						return false
-					}
-				}
-			}
-			return scheduled < total
-		})
-		if loopErr != nil {
-			return res, loopErr
-		}
-		// Transmit: drain what this epoch scheduled.
-		for drainOne() {
-			progressed = true
-		}
-		// Publish: the epoch's deliveries land in one batched flush.
-		if epochDelivered > 0 {
-			if s.delivered != nil {
-				s.delivered.Add(epochDelivered)
-			}
-			// Record cannot fail: stream 0 exists and the modeled clock
-			// (delivered count × host cost) is monotone.
-			_ = meter.Record(0, int(epochDelivered)*cfg.FrameBytes, float64(delivered)*cfg.HostNs)
-			epochDelivered = 0
-		}
-		if progressed {
-			idleEpochs = 0
-		} else if idleEpochs++; idleEpochs > rtcIdleLimit {
-			return res, fmt.Errorf("run-to-completion pipeline wedged: %d/%d delivered", delivered, total)
-		}
-	}
-	if sinceBatch > 0 {
-		if err := meterBatch(int(sinceBatch)); err != nil {
-			return res, err
-		}
-	}
-	meter.Finish()
-
-	res.Frames = delivered
-	res.Decisions = s.sched.Decisions()
-	res.IdleCycles = s.sched.IdleCycles()
-	res.TransferNs = s.bus.BusyNs
-	res.VirtualNs = float64(total)*cfg.HostNs + s.bus.BusyNs
-	res.Counters = s.sched.Totals()
-	res.QM = s.manager.Totals()
-	res.Bandwidth = meter.Series(0)
-	return res, nil
+	return res
 }

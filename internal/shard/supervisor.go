@@ -1,8 +1,8 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/core"
@@ -76,54 +76,14 @@ type SupervisedResult struct {
 	PerShardDelivered []uint64
 }
 
-// crashInfo describes why a shard's pipeline segment stopped abnormally.
-type crashInfo struct {
-	injected bool   // true for a scheduled ShardCrash, false for a pipeline fault (PCI giveup)
-	at       uint64 // the crash point's scheduled-frame index (injected crashes)
-	err      error  // the underlying fault (pipeline faults)
-}
-
-// supShard is one shard's supervision state, persisted across rounds.
+// supShard is one shard's supervision state: its pipeline, which persists
+// across rounds, plus the recovery bookkeeping.
 type supShard struct {
-	s    *shardState
-	plan *fault.ShardPlan
-	fps  uint64 // framesPerStream
-
-	subPerSlot []uint64 // frames disposed of (queued or shed) per own slot
-	delivered  []uint64 // frames delivered per scheduler slot (own + adopted)
-	deliveredT uint64
-	scheduled  uint64
-	sinceBatch uint64
-	meterBatch func(int) error
-
-	ownTarget     uint64
-	adoptedTarget uint64
-	restarts      int
-	dead          bool
-	backoffNs     float64
-	orphans       [][]*streamlet.Backlog  // adopted backlogs per scheduler slot
-	aggs          []*streamlet.Aggregator // re-aggregated slots' aggregators (nil: own queue), charged per transmission
-	crash         *crashInfo
-}
-
-// remaining is the work the shard still owes: its share of the target minus
-// what it delivered and what the overload policy definitively dropped.
-func (u *supShard) remaining() uint64 {
-	lost := u.s.manager.LiveDropped()
-	have := u.deliveredT + lost
-	total := u.ownTarget + u.adoptedTarget
-	if have >= total {
-		return 0
-	}
-	return total - have
-}
-
-// liveLost returns slot's definitively-lost frames. Since the Queue
-// Manager's drop/refused accounting split, Stats(slot).Dropped counts
-// losses only under every policy — Backpressure refusals land in Refused —
-// so no policy dispatch is needed.
-func (u *supShard) liveLost(slot int) uint64 {
-	return u.s.manager.Stats(slot).Dropped
+	*pipeline
+	restarts  int
+	dead      bool
+	backoffNs float64
+	orphans   [][]*streamlet.Backlog // adopted backlogs per scheduler slot
 }
 
 // RunSupervised pushes framesPerStream frames through every admitted stream
@@ -148,36 +108,17 @@ func (r *Router) RunSupervised(framesPerStream int, schedule *fault.Schedule, rc
 // runSupervised is RunSupervised, also returning the per-shard supervision
 // state the run ended with.
 func (r *Router) runSupervised(framesPerStream int, schedule *fault.Schedule, rcfg RecoveryConfig, trace *fault.Trace) (*SupervisedResult, []*supShard, error) {
-	if r.ran {
-		return nil, nil, fmt.Errorf("shard: Run called twice")
+	pipes, err := r.begin(framesPerStream, schedule)
+	if err != nil {
+		return nil, nil, err
 	}
-	if framesPerStream < 1 {
-		return nil, nil, fmt.Errorf("shard: %d frames per stream", framesPerStream)
-	}
-	if len(r.byID) == 0 {
-		return nil, nil, fmt.Errorf("shard: no streams admitted")
-	}
-	r.ran = true
 	rcfg = rcfg.withDefaults()
 
-	sup := make([]*supShard, len(r.shards))
-	for k, s := range r.shards {
-		s.manager.SetPolicy(rcfg.Policy)
-		s.bus.Injector = schedule.Shard(k).Bus()
-		if err := s.sched.Start(); err != nil {
-			return nil, nil, fmt.Errorf("shard %d: %w", k, err)
-		}
-		sup[k] = &supShard{
-			s:          s,
-			plan:       schedule.Shard(k),
-			fps:        uint64(framesPerStream),
-			subPerSlot: make([]uint64, len(s.streams)),
-			delivered:  make([]uint64, r.cfg.SlotsPerShard),
-			meterBatch: s.bus.BatchMeter(r.cfg.Mode),
-			ownTarget:  uint64(len(s.streams)) * uint64(framesPerStream),
-			orphans:    make([][]*streamlet.Backlog, r.cfg.SlotsPerShard),
-			aggs:       make([]*streamlet.Aggregator, r.cfg.SlotsPerShard),
-		}
+	sup := make([]*supShard, len(pipes))
+	for k, p := range pipes {
+		p.s.manager.SetPolicy(rcfg.Policy)
+		p.s.bus.Injector = p.plan.Bus()
+		sup[k] = &supShard{pipeline: p, orphans: make([][]*streamlet.Backlog, r.cfg.SlotsPerShard)}
 	}
 
 	// Round bound: every round but the last retires at least one crash, and
@@ -198,7 +139,7 @@ func (r *Router) runSupervised(framesPerStream int, schedule *fault.Schedule, rc
 	for round := 0; ; round++ {
 		var active []*supShard
 		for _, u := range sup {
-			if !u.dead && u.remaining() > 0 {
+			if !u.dead && u.owed() > 0 {
 				active = append(active, u)
 			}
 		}
@@ -210,34 +151,25 @@ func (r *Router) runSupervised(framesPerStream int, schedule *fault.Schedule, rc
 			return nil, nil, fmt.Errorf("shard: recovery did not converge in %d rounds", maxRounds)
 		}
 
+		// One threaded pipeline segment per live shard, to completion or
+		// crash. runThreaded drains the tx-ring residue a crash strands, so
+		// delivered equals scheduled at every barrier (conservation
+		// bookkeeping is exact between rounds).
 		var wg sync.WaitGroup
 		errs := make([]error, len(active))
 		for i, u := range active {
+			u.halt.Store(false)
 			wg.Add(1)
 			go func(i int, u *supShard) {
 				defer wg.Done()
-				errs[i] = r.runSegment(u)
+				if err := u.runThreaded(); err != nil {
+					errs[i] = fmt.Errorf("shard %d: %w", u.s.index, err)
+				}
 			}(i, u)
 		}
 		wg.Wait()
-		for i, u := range active {
-			if errs[i] != nil {
-				return nil, nil, fmt.Errorf("shard %d: %w", u.s.index, errs[i])
-			}
-			// Drain the tx-ring residue a crash stranded, so delivered
-			// equals scheduled at every barrier (conservation bookkeeping
-			// is exact between rounds).
-			for {
-				tx, ok := u.s.txRing.Pop()
-				if !ok {
-					break
-				}
-				u.delivered[tx.Slot]++
-				u.deliveredT++
-				if u.s.delivered != nil {
-					u.s.delivered.Inc()
-				}
-			}
+		if err := errors.Join(errs...); err != nil {
+			return nil, nil, err
 		}
 
 		// Recovery decisions: single-threaded, shard-index order.
@@ -269,7 +201,7 @@ func (r *Router) runSupervised(framesPerStream int, schedule *fault.Schedule, rc
 			u.dead = true
 			result.DeadShards = append(result.DeadShards, u.s.index)
 			trace.Addf("round=%d shard=%d dead after %d restarts", round, u.s.index, u.restarts)
-			n, err := r.reaggregate(u, sup, &rrCursor, rcfg.Policy, round, trace)
+			n, err := r.reaggregate(u, sup, &rrCursor, round, trace)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -278,13 +210,20 @@ func (r *Router) runSupervised(framesPerStream int, schedule *fault.Schedule, rc
 	}
 
 	for _, u := range sup {
-		result.Delivered += u.deliveredT
+		// The trailing partial PCI batch is metered once, when the run is
+		// over, exactly as Run does — never between rounds, where it would
+		// shift the bus operation indices the fault schedule keys on. A
+		// fault abandoning this last transfer is charged to the bus and
+		// traced, but crashes nothing: no work is left to restart.
+		if err := u.flushTail(); err != nil {
+			trace.Addf("shard=%d tail batch abandoned: %v", u.s.index, err)
+		}
+		result.Delivered += u.delivered
 		result.Dropped += u.s.manager.LiveDropped()
 		result.RebindEpochs += u.s.sched.RebindEpoch()
 		result.Counters = MergeCounters(result.Counters, u.s.sched.Totals())
-		result.PerShardDelivered = append(result.PerShardDelivered, u.deliveredT)
-		vns := float64(u.deliveredT)*r.cfg.HostNs + u.s.bus.BusyNs + u.backoffNs
-		if vns > result.VirtualNs {
+		result.PerShardDelivered = append(result.PerShardDelivered, u.delivered)
+		if vns := u.virtualNs() + u.backoffNs; vns > result.VirtualNs {
 			result.VirtualNs = vns
 		}
 	}
@@ -294,155 +233,6 @@ func (r *Router) runSupervised(framesPerStream int, schedule *fault.Schedule, rc
 	return result, sup, nil
 }
 
-// segIdleLimit bounds consecutive scheduler batches without a scheduled
-// frame before a segment declares the pipeline wedged — a safety valve, not
-// a modeled timeout.
-const segIdleLimit = 1 << 14
-
-// runSegment runs one shard's pipeline until its remaining work is done or
-// a fault crashes it (recorded in u.crash). A non-nil error is a
-// non-recoverable harness failure.
-func (r *Router) runSegment(u *supShard) error {
-	cfg := r.cfg
-	s := u.s
-	n := len(s.streams)
-
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	cancel := func() { stopOnce.Do(func() { close(stop) }) }
-	stopped := func() bool {
-		select {
-		case <-stop:
-			return true
-		default:
-			return false
-		}
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-
-	// Producer: resumes from the per-slot disposal counts of earlier
-	// rounds. Saturation bursts key off the deterministic frame index
-	// k·n+slot, not the timing-dependent attempt count.
-	go func() {
-		defer wg.Done()
-		for k := uint64(0); k < u.fps; k++ {
-			for slot := 0; slot < n; slot++ {
-				if u.subPerSlot[slot] > k {
-					continue
-				}
-				if burst := u.plan.BurstAt(k*uint64(n) + uint64(slot)); burst > 0 {
-					s.manager.Saturate(burst)
-				}
-				f := qm.Frame{Size: cfg.FrameBytes, Arrival: k}
-				for {
-					if stopped() {
-						return
-					}
-					switch s.manager.Offer(slot, f) {
-					case qm.Queued, qm.Shed:
-						u.subPerSlot[slot]++
-					case qm.Busy:
-						runtime.Gosched()
-						continue
-					default:
-						u.subPerSlot[slot]++
-					}
-					break
-				}
-			}
-		}
-	}()
-
-	// Transmission engine: drains scheduled IDs until the shard's remaining
-	// work is gone or the segment stops; the supervisor drains any residue
-	// at the barrier.
-	go func() {
-		defer wg.Done()
-		for u.remaining() > 0 {
-			tx, ok := s.txRing.Pop()
-			if !ok {
-				if stopped() {
-					return
-				}
-				runtime.Gosched()
-				continue
-			}
-			u.delivered[tx.Slot]++
-			u.deliveredT++
-			if s.delivered != nil {
-				s.delivered.Inc()
-			}
-		}
-	}()
-
-	// Scheduler loop. Ends the segment by closing stop on every exit path.
-	defer func() {
-		cancel()
-		wg.Wait()
-	}()
-	idleBatches := 0
-	var chargeErr error
-	for u.crash == nil {
-		// remaining() already subtracts deliveries the engine is making
-		// concurrently; gate on scheduled work instead: schedule until the
-		// total ever scheduled covers the target minus definite losses.
-		lost := s.manager.LiveDropped()
-		total := u.ownTarget + u.adoptedTarget
-		if u.scheduled+lost >= total {
-			break
-		}
-		progressed := false
-		s.sched.RunCycles(schedulerBatchCycles, func(cr *core.CycleResult) bool {
-			if cr.Idle {
-				runtime.Gosched()
-				return true
-			}
-			for _, tx := range cr.Transmissions {
-				if agg := u.aggs[tx.Slot]; agg != nil {
-					if _, _, chargeErr = agg.OnTransmit(cfg.FrameBytes); chargeErr != nil {
-						return false
-					}
-				}
-				for !s.txRing.Push(tx) {
-					runtime.Gosched() // engine backpressure
-				}
-				u.scheduled++
-				progressed = true
-				u.sinceBatch++
-				if u.sinceBatch == uint64(cfg.TransferBatch) {
-					u.sinceBatch = 0
-					if err := u.meterBatch(cfg.TransferBatch); err != nil {
-						u.crash = &crashInfo{err: err}
-						return false
-					}
-				}
-				if u.plan.CrashAt(u.scheduled) {
-					at, _ := u.plan.ConsumeCrash()
-					u.crash = &crashInfo{injected: true, at: at}
-					return false
-				}
-			}
-			lost := s.manager.LiveDropped()
-			return u.scheduled+lost < u.ownTarget+u.adoptedTarget
-		})
-		if chargeErr != nil {
-			return fmt.Errorf("re-aggregated slot: %w", chargeErr)
-		}
-		if progressed {
-			idleBatches = 0
-		} else {
-			idleBatches++
-			if idleBatches > segIdleLimit {
-				return fmt.Errorf("pipeline wedged: %d/%d scheduled after %d idle batches",
-					u.scheduled, u.ownTarget+u.adoptedTarget, idleBatches)
-			}
-		}
-	}
-	return nil
-}
-
 // reaggregate salvages a dead shard's undelivered flows and re-homes them,
 // one streamlet backlog per dead stream-slot, round-robin across the
 // survivors' occupied stream-slots. Each target slot's head source is
@@ -450,7 +240,7 @@ func (r *Router) runSegment(u *supShard) error {
 // it has adopted, and swapped in with a counter-preserving scheduler rebind
 // (bumping the target's rebind epoch). It returns how many dead slots were
 // re-homed.
-func (r *Router) reaggregate(dead *supShard, sup []*supShard, rrCursor *int, policy qm.Policy, round int, trace *fault.Trace) (int, error) {
+func (r *Router) reaggregate(dead *supShard, sup []*supShard, rrCursor *int, round int, trace *fault.Trace) (int, error) {
 	// The survivor slot pool, in (shard, slot) index order — the round-robin
 	// the paper uses between streamlets, applied here to placement.
 	type pair struct {
@@ -479,9 +269,9 @@ func (r *Router) reaggregate(dead *supShard, sup []*supShard, rrCursor *int, pol
 		dead.s.manager.Drain(slot, func(f qm.Frame) {
 			heads[slot] = append(heads[slot], regblock.Head{Arrival: f.Arrival})
 		})
-		for k := dead.subPerSlot[slot]; k < dead.fps; k++ {
+		for k := dead.produced[slot]; k < dead.fps; k++ {
 			heads[slot] = append(heads[slot], regblock.Head{Arrival: k})
-			dead.subPerSlot[slot]++
+			dead.produced[slot]++
 		}
 		for _, bl := range dead.orphans[slot] {
 			for {
@@ -494,7 +284,7 @@ func (r *Router) reaggregate(dead *supShard, sup []*supShard, rrCursor *int, pol
 		}
 		built += uint64(len(heads[slot]))
 	}
-	if gap := dead.remaining(); gap > built {
+	if gap := dead.owed(); gap > built {
 		for i := built; i < gap; i++ {
 			heads[n-1] = append(heads[n-1], regblock.Head{Arrival: dead.fps})
 		}
@@ -505,7 +295,7 @@ func (r *Router) reaggregate(dead *supShard, sup []*supShard, rrCursor *int, pol
 		*rrCursor++
 		bl := streamlet.NewBacklog(heads[slot])
 		t.u.orphans[t.slot] = append(t.u.orphans[t.slot], bl)
-		t.u.adoptedTarget += uint64(len(heads[slot]))
+		t.u.target += uint64(len(heads[slot]))
 
 		srcs := []regblock.HeadSource{t.u.s.manager.Source(t.slot)}
 		for _, b := range t.u.orphans[t.slot] {
@@ -523,6 +313,9 @@ func (r *Router) reaggregate(dead *supShard, sup []*supShard, rrCursor *int, pol
 		if err != nil {
 			return 0, err
 		}
+		if t.u.aggs == nil {
+			t.u.aggs = make([]*streamlet.Aggregator, r.cfg.SlotsPerShard)
+		}
 		t.u.aggs[t.slot] = agg
 		if flushed {
 			// The target slot held an in-flight head of its own; the rebind
@@ -532,7 +325,6 @@ func (r *Router) reaggregate(dead *supShard, sup []*supShard, rrCursor *int, pol
 		trace.Addf("round=%d shard=%d slot=%d reaggregate -> shard=%d slot=%d epoch=%d",
 			round, dead.s.index, slot, t.u.s.index, t.slot, t.u.s.sched.RebindEpoch())
 	}
-	_ = policy
 	return n, nil
 }
 
@@ -551,4 +343,14 @@ func (r *Router) Manager(k int) *qm.Manager {
 		return nil
 	}
 	return r.shards[k].manager
+}
+
+// Instrument attaches a core.* metrics bundle to shard k's scheduler (nil
+// detaches) — the seam a one-shard driver uses to publish the scheduler's
+// own view beside the router's shard.* metrics.
+func (r *Router) Instrument(k int, m *core.Metrics) error {
+	if k < 0 || k >= len(r.shards) {
+		return fmt.Errorf("shard: shard %d out of range [0, %d)", k, len(r.shards))
+	}
+	return r.shards[k].sched.Instrument(m)
 }

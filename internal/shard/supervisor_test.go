@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -70,29 +69,58 @@ func supervisedRouter(t *testing.T, shards, slots, streams int) *Router {
 }
 
 func TestSupervisedNoFaultsMatchesPlainRun(t *testing.T) {
-	const frames = 200
-	plain := supervisedRouter(t, 2, 4, 8)
-	res, err := plain.Run(frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	supd := supervisedRouter(t, 2, 4, 8)
-	var tr fault.Trace
-	sres, err := supd.RunSupervised(frames, nil, RecoveryConfig{}, &tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sres.Delivered != res.Frames || sres.Delivered != sres.Target {
-		t.Fatalf("supervised delivered %d, plain %d, target %d", sres.Delivered, res.Frames, sres.Target)
-	}
-	if sres.Rounds != 1 || sres.Restarts != 0 || len(sres.DeadShards) != 0 || sres.Dropped != 0 {
-		t.Fatalf("fault-free run took recovery actions: %+v", sres)
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("fault-free run wrote a trace:\n%s", tr.String())
-	}
-	if sres.Counters.Services != res.Counters.Services {
-		t.Fatalf("supervised services %d, plain %d", sres.Counters.Services, res.Counters.Services)
+	// 201 frames × 4 streams per shard is not a multiple of TransferBatch:
+	// the metered cases pin that the supervisor, too, meters the trailing
+	// partial PCI batch, so modeled time matches the plain run's exactly.
+	for _, tc := range []struct {
+		mode   pci.Mode
+		frames int
+	}{
+		{pci.ModeNone, 200},
+		{pci.ModePIO, 201},
+		{pci.ModeDMA, 201},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			build := func() *Router {
+				r := mustRouter(t, Config{Shards: 2, SlotsPerShard: 4, Mode: tc.mode})
+				if _, err := r.AdmitBalanced(8, edfSpec(4)); err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			plain := build()
+			res, err := plain.Run(tc.frames)
+			if err != nil {
+				t.Fatal(err)
+			}
+			supd := build()
+			var tr fault.Trace
+			sres, err := supd.RunSupervised(tc.frames, nil, RecoveryConfig{}, &tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sres.Delivered != res.Frames || sres.Delivered != sres.Target {
+				t.Fatalf("supervised delivered %d, plain %d, target %d", sres.Delivered, res.Frames, sres.Target)
+			}
+			if sres.Rounds != 1 || sres.Restarts != 0 || len(sres.DeadShards) != 0 || sres.Dropped != 0 {
+				t.Fatalf("fault-free run took recovery actions: %+v", sres)
+			}
+			if tr.Len() != 0 {
+				t.Fatalf("fault-free run wrote a trace:\n%s", tr.String())
+			}
+			if sres.Counters.Services != res.Counters.Services {
+				t.Fatalf("supervised services %d, plain %d", sres.Counters.Services, res.Counters.Services)
+			}
+			if sres.VirtualNs != res.VirtualNs || sres.PacketsPerS != res.PacketsPerS {
+				t.Fatalf("modeled time: supervised %v ns / %v pps, plain %v ns / %v pps",
+					sres.VirtualNs, sres.PacketsPerS, res.VirtualNs, res.PacketsPerS)
+			}
+			for k := 0; k < 2; k++ {
+				if got, want := supd.Bus(k).BusyNs, plain.Bus(k).BusyNs; got != want {
+					t.Fatalf("shard %d bus BusyNs: supervised %v, plain %v", k, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -243,9 +271,27 @@ func TestSupervisedAllShardsDead(t *testing.T) {
 	}
 }
 
+// TestSupervisedErrorIsNotCanceled: with no supervisor, one shard's bus
+// giving up fails the run, and the sibling Run halts stops quietly — the
+// error names the failed shard alone, under both drivers.
 func TestSupervisedErrorIsNotCanceled(t *testing.T) {
-	if errors.Is(errCanceled, errors.New("x")) {
-		t.Fatal("sanity")
+	const frames = 100_000 // far more than shard 0 can deliver before shard 1 fails
+	for _, rtc := range []bool{false, true} {
+		r := mustRouter(t, Config{Shards: 2, SlotsPerShard: 4, Mode: pci.ModePIO, RunToCompletion: rtc})
+		if _, err := r.AdmitBalanced(8, edfSpec(4)); err != nil {
+			t.Fatal(err)
+		}
+		r.Bus(1).Injector = giveupInjector{at: 4}
+		_, err := r.Run(frames)
+		if err == nil || !strings.Contains(err.Error(), "shard 1") {
+			t.Fatalf("rtc=%v: error = %v, want shard 1's bus giving up", rtc, err)
+		}
+		if strings.Contains(err.Error(), "shard 0") || strings.Contains(err.Error(), "canceled") {
+			t.Fatalf("rtc=%v: the halted sibling must add nothing: %v", rtc, err)
+		}
+		if got := r.shards[0].sched.Totals().Services; got >= 4*frames {
+			t.Fatalf("rtc=%v: shard 0 ran all %d frames out instead of halting", rtc, got)
+		}
 	}
 }
 

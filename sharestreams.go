@@ -285,8 +285,8 @@ type (
 )
 
 // RunShardedOpts is RunSharded with the optional machinery selectable —
-// the general driver behind RunSharded, RunShardedInstrumented, and the
-// run-to-completion/shared-buffering configurations.
+// the general driver behind RunSharded and the instrumented,
+// run-to-completion and shared-buffering configurations.
 func RunShardedOpts(shards, slotsPerShard, framesPerStream int, opts ShardedOptions) (*ShardedResult, error) {
 	return endsystem.RunShardedOpts(shards, slotsPerShard, framesPerStream, opts)
 }
