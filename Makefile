@@ -1,19 +1,20 @@
 # ShareStreams-Go convenience targets (plain `go` commands work too).
 
-.PHONY: all check ci build test race bench bench-check perf perf-check spine-compare report experiments cover fuzz fuzz-smoke lint lint-ci lint-stats chaos soak crash smoke
+.PHONY: all check ci build test race bench bench-check spine-compare report experiments cover fuzz fuzz-smoke lint lint-ci lint-stats chaos soak crash smoke
 
 all: build test race lint
 
 # check is the full pre-merge gate: everything in all plus the perf
-# regression guards, the recorded-baseline perf gate, the coverage floor,
-# the chaos suite, the control-plane soak, the crash-recovery gate, the
-# service smoke (which includes the kill -9 recovery drill), and a short
-# fuzz of the decision fast path.
-check: all bench-check perf-check cover chaos soak crash smoke fuzz-smoke
+# regression guards (zero allocations, fast-path hit rates), the coverage
+# floor, the chaos suite, the control-plane soak, the crash-recovery gate,
+# the service smoke (which includes the kill -9 recovery drill), and a short
+# fuzz of the decision fast path. Wall-clock performance is spine-compare's
+# job: it needs a base to compare against, so it is not part of check.
+check: all bench-check cover chaos soak crash smoke fuzz-smoke
 
 # ci mirrors .github/workflows/ci.yml locally: the same steps its required
 # jobs run, in one invocation (the workflow's perf job is advisory and is
-# reproduced by `make perf-check spine-compare`). lint-ci is the workflow's
+# reproduced by `make spine-compare`). lint-ci is the workflow's
 # lint step: the same suite as lint plus the sslint.json artifact and the
 # suppression audit.
 ci: build test smoke race lint-ci bench-check cover chaos soak crash
@@ -62,34 +63,22 @@ bench:
 	go test -bench=. -benchmem ./...
 
 # Quick perf-regression gate: the zero-allocation and accounting guards, the
-# fast-path-equals-cascade and lazy-aggregator-equals-eager differential
-# tests, and one pass of the headline benchmarks with allocation reporting.
-# Cheap enough for every PR.
+# per-rank-program fast-path hit rates, the fast-path-equals-cascade and
+# lazy-aggregator-equals-eager differential tests, and one pass of the
+# headline benchmarks with allocation reporting. Cheap enough for every PR.
 bench-check:
-	go test -run 'TestZeroAllocSteadyState|TestHWCyclesAccounting' ./internal/core/
+	go test -run 'TestZeroAllocSteadyState|TestHWCyclesAccounting|TestFastPathHitRates' ./internal/core/
 	go test -run 'TestFastOrderDifferential|TestLessStrictWeakOrdering' ./internal/decision/
 	go test -run 'TestBlockAliasingContract' ./internal/shuffle/
 	go test -run 'TestZeroAllocAggregate|TestAdvanceIsLazy|TestDifferential' ./internal/streamlet/
 	go test -run xxx -bench 'BenchmarkDecisionCycle' -benchtime 100x -benchmem .
 
-# Full perf harness: sweeps N=4..1024 × {DWCS,TagOnly} × {WR,BA} and writes
-# BENCH_PR2.json (see EXPERIMENTS.md "Performance trajectory").
-perf:
-	go run ./cmd/ssbench perf
-
-# Perf-regression gate: re-measure the sweep and compare against the
-# recorded BENCH_PR2.json, failing on >25% ns/decision growth or any
-# allocs/cycle above the recorded zeros. Regenerate the baseline with
-# `make perf` after an intentional perf change.
-perf-check:
-	go run ./cmd/ssbench -baseline BENCH_PR2.json perf
-	go run ./cmd/ssbench -baseline BENCH_PR6.json rank
-
-# Spine comparison: every ssspine workload on BASE and on the working tree,
-# seeds 1 and 20030422, then `ssspine -compare` — what a gain PR records in
-# EXPERIMENTS.md, and what CI's advisory perf leg uploads. The JSON files
-# land in .ssspine/compare/. perf-check above stays until a later PR retires
-# it.
+# Spine comparison, the one wall-clock perf gate: every ssspine workload on
+# BASE and on the working tree, seeds 1 and 20030422, then `ssspine
+# -compare` for each seed — what a gain PR records in EXPERIMENTS.md, and
+# what CI's advisory perf leg uploads. Both seeds always run; the target
+# fails if either compare reads worse or any exact count differs. The JSON
+# files land in .ssspine/compare/.
 BASE := HEAD~1
 
 spine-compare:

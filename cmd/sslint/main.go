@@ -13,13 +13,13 @@
 // The suite (see DESIGN.md §10 "Static verification"):
 //
 //	retainalias   copy-on-retain contract for cycle-aliased result slices
-//	hotpathalloc  no allocation-inducing constructs in the decision hot path
 //	walltime      no wall clock / global rand in modeled-time code
-//	spscatomic    atomic, method-confined SPSC ring pointer access
+//	spsc          atomic, method-confined SPSC head/tail access, every
+//	              store dominated by a load on all paths
 //	exhaustdisc   exhaustive switches over discipline/configuration enums
-//	allocproof    flow-sensitive allocation proof over warm CFG paths
+//	allocproof    no allocation on any warm CFG path of the hot set,
+//	              through same-package helpers
 //	conserve      ring removals reach a ledger, pool borrows reach a reclaim
-//	spscflow      head/tail stores dominated by a load on all paths
 //	boundedloop   provably bounded trip counts for hot-set loops
 //
 // Findings are suppressed only by an explicit annotation with a reason —
@@ -52,23 +52,19 @@ import (
 	"repro/internal/lint/boundedloop"
 	"repro/internal/lint/conserve"
 	"repro/internal/lint/exhaustdisc"
-	"repro/internal/lint/hotpathalloc"
 	"repro/internal/lint/retainalias"
-	"repro/internal/lint/spscatomic"
-	"repro/internal/lint/spscflow"
+	"repro/internal/lint/spsc"
 	"repro/internal/lint/walltime"
 )
 
 // analyzers is the full suite, in report order.
 var analyzers = []*analysis.Analyzer{
 	retainalias.Analyzer,
-	hotpathalloc.Analyzer,
 	walltime.Analyzer,
-	spscatomic.Analyzer,
+	spsc.Analyzer,
 	exhaustdisc.Analyzer,
 	allocproof.Analyzer,
 	conserve.Analyzer,
-	spscflow.Analyzer,
 	boundedloop.Analyzer,
 }
 

@@ -9,8 +9,8 @@ import (
 // TestFaultLayerClean asserts the fault-injection layer and the packages
 // it instruments pass the full applicable analyzer suite with zero
 // findings — in particular walltime (seeded schedules only, backoff in
-// virtual ns) and hotpathalloc (the disabled injector costs nothing on
-// the transfer hot path). `make lint` checks ./... too; this test keeps
+// virtual ns) and allocproof (the disabled injector costs nothing on the
+// transfer hot path). `make lint` checks ./... too; this test keeps
 // the guarantee local to `go test` so a regression names the contract.
 func TestFaultLayerClean(t *testing.T) {
 	pkgs, err := analysis.Load("../..", []string{

@@ -37,7 +37,9 @@ func backloggedScheduler(t *testing.T, n int, mode decision.Mode, routing Routin
 
 // TestZeroAllocSteadyState asserts the tentpole contract: a steady-state
 // decision cycle performs no heap allocations, for both routing disciplines
-// and both decision modes, at the paper's prototype size and at N=32.
+// and both decision modes, at the paper's prototype size, at N=32, and at
+// N=256 — past the 7-bit key slot field's saturation, where equal masked
+// keys resolve through the slot tie-break.
 func TestZeroAllocSteadyState(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -51,6 +53,10 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		{"BA32", 32, decision.DWCS, BlockRouting},
 		{"TagOnlyWR32", 32, decision.TagOnly, WinnerOnly},
 		{"TagOnlyBA32", 32, decision.TagOnly, BlockRouting},
+		{"WR256", 256, decision.DWCS, WinnerOnly},
+		{"BA256", 256, decision.DWCS, BlockRouting},
+		{"TagOnlyWR256", 256, decision.TagOnly, WinnerOnly},
+		{"TagOnlyBA256", 256, decision.TagOnly, BlockRouting},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := backloggedScheduler(t, tc.n, tc.mode, tc.routing)
@@ -78,9 +84,9 @@ func TestZeroAllocSteadyState(t *testing.T) {
 }
 
 // programScheduler builds an n-slot scheduler running rank program p, every
-// slot backlogged with a stream of p's attribute class, warmed past the
-// first key-refresh epoch.
-func programScheduler(t *testing.T, n int, p decision.Program, routing Routing) *Scheduler {
+// slot backlogged with a stream of p's attribute class, warmed for warm
+// cycles (keyRefreshPeriod+64 clears the first key-refresh epoch).
+func programScheduler(t *testing.T, n int, p decision.Program, routing Routing, warm int) *Scheduler {
 	t.Helper()
 	s, err := New(ProgramConfig(n, p, routing))
 	if err != nil {
@@ -107,7 +113,7 @@ func programScheduler(t *testing.T, n int, p decision.Program, routing Routing) 
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	s.RunCycles(keyRefreshPeriod+64, nil)
+	s.RunCycles(warm, nil)
 	return s
 }
 
@@ -128,7 +134,7 @@ func TestZeroAllocPrograms(t *testing.T) {
 		{"STFQ-WR32", decision.ProgramSTFQ, WinnerOnly},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := programScheduler(t, 32, tc.p, tc.routing)
+			s := programScheduler(t, 32, tc.p, tc.routing, keyRefreshPeriod+64)
 			const batch = 128
 			allocs := testing.AllocsPerRun(50, func() {
 				s.RunCycles(batch, nil)

@@ -96,7 +96,7 @@ func (s *Scheduler) Instrument(m *Metrics) error {
 }
 
 // observe records one completed cycle into the attached bundle. It runs on
-// the decision hot path, so it is structurally allocation-free (hotpathalloc
+// the decision hot path, so it is structurally allocation-free (allocproof
 // checks it) and guarded by the nil test in runCycle.
 func (s *Scheduler) observe(cr *CycleResult) {
 	m := s.obs

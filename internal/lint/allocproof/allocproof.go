@@ -1,14 +1,19 @@
 // Package allocproof proves the hot set allocation-free along every warm
-// control-flow path — the flow-sensitive upgrade of hotpathalloc.
+// control-flow path.
 //
-// hotpathalloc rejects allocation-inducing syntax anywhere in a hot
-// function, with one blunt exemption (panic arguments). This analyzer walks
-// the function's CFG instead and distinguishes paths:
+// TestZeroAllocSteadyState pins the steady-state decision cycle at zero
+// allocations per cycle, but a runtime guard only fires for the
+// configurations it samples. This analyzer is the compile-time backstop for
+// the functions that make up the hot path — core's cycle driver, the whole
+// shuffle pass machinery, decision's comparators, attr's key packers,
+// regblock's per-cycle methods, and anything annotated //sslint:hotpath (the
+// shared hotset package). It walks each hot function's CFG and
+// distinguishes paths:
 //
 //   - warm blocks — reachable from entry AND able to reach the normal
-//     return — must be allocation-free: a conditional alloc behind an
-//     unlikely branch is still a steady-state alloc the cycle budget pays
-//     for when the branch hits;
+//     return — must be allocation-free (classify.go names the constructs):
+//     a conditional alloc behind an unlikely branch is still a steady-state
+//     alloc the cycle budget pays for when the branch hits;
 //   - doomed blocks — every continuation panics — are cold by definition,
 //     so a wiring-error path may format its message
 //     (`msg := fmt.Sprintf(...); panic(msg)` is accepted whole, not just
@@ -19,10 +24,6 @@
 //     the "hide the make() in a helper" hole that syntactic checking leaves
 //     open. Cross-package and interface calls stay the runtime allocation
 //     tests' job.
-//
-// The allocation classifier itself is shared with hotpathalloc
-// (WalkAllocs), so the two analyzers can never disagree about what
-// allocates — only about where it is reachable from.
 package allocproof
 
 import (
@@ -31,7 +32,6 @@ import (
 	"go/types"
 
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/hotpathalloc"
 	"repro/internal/lint/hotset"
 )
 
@@ -85,7 +85,7 @@ type prover struct {
 // follows warm calls into same-package helpers.
 func (p *prover) checkHot(fd *ast.FuncDecl) {
 	for _, n := range warmNodes(fd, p.pass.Info) {
-		hotpathalloc.WalkAllocs(p.pass, n, p.pass.Report)
+		walkAllocs(p.pass, n, p.pass.Report)
 		p.checkCalls(n)
 	}
 }
@@ -147,7 +147,7 @@ func (p *prover) allocSites(fn *types.Func, fd *ast.FuncDecl) []site {
 	p.memo[fn] = nil // in-progress marker for recursive call chains
 	var sites []site
 	for _, n := range warmNodes(fd, p.pass.Info) {
-		hotpathalloc.WalkAllocs(p.pass, n, func(pos token.Pos, msg string) {
+		walkAllocs(p.pass, n, func(pos token.Pos, msg string) {
 			sites = append(sites, site{pos, msg})
 		})
 		ast.Inspect(n, func(x ast.Node) bool {

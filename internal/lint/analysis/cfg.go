@@ -2,7 +2,7 @@ package analysis
 
 // This file builds per-function control-flow graphs over go/ast — the
 // flow-sensitive substrate the sslint suite's proving analyzers (allocproof,
-// conserve, spscflow) run on. The graph is statement-granular: every basic
+// conserve, spsc) run on. The graph is statement-granular: every basic
 // block holds the simple statements and branch/loop conditions that execute
 // straight-line within it, in evaluation order, and edges carry the branch
 // condition they are taken under (Cond/Branch), which is what lets a

@@ -6,7 +6,7 @@ package analysis
 // transfer a fact across one node, refine it along a conditional edge, and
 // join facts where paths meet — and Forward returns the fixpoint in-fact of
 // every reachable block. Union lattices (conserve's obligation sets) and
-// intersection lattices (spscflow's must-have-loaded sets) both fit: the
+// intersection lattices (spsc's must-have-loaded sets) both fit: the
 // first fact to arrive at a block seeds it, and Join folds later arrivals.
 //
 // The Edge hook is the path-condition-lite piece: an edge taken only when

@@ -1,9 +1,9 @@
 // Package hotset names the decision hot path — the functions that run on
 // every cycle and are therefore held to the fixed-cycle contracts (zero
 // allocations, bounded loops). It is the one shared definition the
-// allocation analyzers (hotpathalloc, allocproof) and the trip-count
-// analyzer (boundedloop) agree on: the built-in per-package lists below plus
-// any function annotated //sslint:hotpath in its doc comment.
+// allocation analyzer (allocproof) and the trip-count analyzer
+// (boundedloop) agree on: the built-in per-package lists below plus any
+// function annotated //sslint:hotpath in its doc comment.
 package hotset
 
 import (

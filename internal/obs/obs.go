@@ -12,7 +12,7 @@
 //
 //   - Zero allocations on the recording path. Counter.Add, Gauge.Set,
 //     Histogram.Observe and CycleTracer.Record allocate nothing; all storage
-//     is laid out at construction time. The hotpathalloc analyzer checks
+//     is laid out at construction time. The allocproof analyzer checks
 //     these functions structurally and core's TestZeroAllocInstrumented
 //     pins the end-to-end guarantee (0 allocs/cycle with instrumentation
 //     enabled).
