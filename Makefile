@@ -62,12 +62,14 @@ lint-stats:
 bench:
 	go test -bench=. -benchmem ./...
 
-# Quick perf-regression gate: the zero-allocation and accounting guards, the
-# per-rank-program fast-path hit rates, the fast-path-equals-cascade and
-# lazy-aggregator-equals-eager differential tests, and one pass of the
-# headline benchmarks with allocation reporting. Cheap enough for every PR.
+# Quick perf-regression gate: the zero-allocation guards (blind, visited and
+# instrumented batches) and accounting guards, the per-rank-program fast-path
+# hit rates, the key-plane-cycle-equals-word-plane-oracle,
+# fast-path-equals-cascade and lazy-aggregator-equals-eager differential
+# tests, and one pass of the headline benchmarks with allocation reporting.
+# Cheap enough for every PR.
 bench-check:
-	go test -run 'TestZeroAllocSteadyState|TestHWCyclesAccounting|TestFastPathHitRates' ./internal/core/
+	go test -run 'TestZeroAllocSteadyState|TestZeroAllocVisited|TestZeroAllocInstrumented|TestHWCyclesAccounting|TestFastPathHitRates|TestCycleDifferential|TestSourceSyncAtBoundaries' ./internal/core/
 	go test -run 'TestFastOrderDifferential|TestLessStrictWeakOrdering' ./internal/decision/
 	go test -run 'TestBlockAliasingContract' ./internal/shuffle/
 	go test -run 'TestZeroAllocAggregate|TestAdvanceIsLazy|TestDifferential' ./internal/streamlet/

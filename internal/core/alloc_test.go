@@ -6,6 +6,7 @@ package core
 // cycle allocates or the HWCycles bookkeeping drifts from the Table-1 model.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/attr"
@@ -80,6 +81,33 @@ func TestZeroAllocSteadyState(t *testing.T) {
 				t.Fatalf("steady-state RunCycle allocated %.2f times (want 0)", allocs)
 			}
 		})
+	}
+}
+
+// TestZeroAllocVisited holds the zero-allocation contract on the path every
+// driver takes: RunCycles with a visitor reading the transmissions.
+func TestZeroAllocVisited(t *testing.T) {
+	for _, n := range []int{4, 32, 256} {
+		for _, routing := range []Routing{WinnerOnly, BlockRouting} {
+			t.Run(fmt.Sprintf("%v%d", routing, n), func(t *testing.T) {
+				s := backloggedScheduler(t, n, decision.DWCS, routing)
+				sent := 0
+				visit := func(cr *CycleResult) bool {
+					sent += len(cr.Transmissions)
+					return true
+				}
+				const batch = 128
+				allocs := testing.AllocsPerRun(50, func() {
+					s.RunCycles(batch, visit)
+				})
+				if allocs != 0 {
+					t.Fatalf("visited RunCycles(%d) allocated %.2f times (want 0)", batch, allocs)
+				}
+				if sent == 0 {
+					t.Fatal("backlogged scheduler transmitted nothing")
+				}
+			})
+		}
 	}
 }
 

@@ -163,9 +163,12 @@ func ProgramConfig(slots int, p decision.Program, routing Routing) Config {
 }
 
 // TimedSource is an optional extension of regblock.HeadSource for
-// time-gated traffic: before each decision cycle the scheduler advances
-// every timed source to the current virtual time, releasing packets that
-// have "arrived".
+// time-gated traffic: the scheduler advances a timed source to the current
+// virtual time before it pulls a head from it, releasing packets that have
+// "arrived", and advances every timed source to the last executed cycle
+// when a RunCycle/RunCycles call returns. Advance must be latest-wins: an
+// Advance(t2) leaves the same state whether or not an Advance(t1 ≤ t2) ran
+// before it.
 type TimedSource interface {
 	regblock.HeadSource
 	Advance(now uint64)
@@ -222,8 +225,8 @@ type Scheduler struct {
 	// deadline-bearing classes ExpireCheck acts on (EDF, window-
 	// constrained), wcClass the window-constrained subset that drops and
 	// re-advances on expiry, guarded the static-priority slots whose
-	// starvation guard needs a Refill tick while valid. The lean cycle path
-	// branches on these instead of re-deriving them per slot per cycle.
+	// starvation guard needs a Refill tick while valid. The cycle branches
+	// on these instead of re-deriving them per slot per cycle.
 	expirable []bool
 	wcClass   []bool
 	guarded   []bool
@@ -252,20 +255,16 @@ type Scheduler struct {
 	// obs is the attached metrics bundle (nil when uninstrumented); the
 	// cycle* fields stage per-cycle telemetry — loser expiries, the
 	// winner's packed rank key as latched for the decision — between the
-	// routing handlers and observe.
+	// cycle's routing arms and observe.
 	obs            *Metrics
 	cycleExpiries  uint16
 	cycleWinnerKey attr.Key
 
-	// gens[i] is slots[i].Gen() as of its last latch onto the network bus;
-	// genReload forces a relatch (fresh scheduler, dynamic admission).
-	// wordsStale records that the lean path has latched keys only since the
-	// last full latch, so the network's word plane must be redriven before
-	// the next word-materializing cycle.
-	gens       []uint64
-	wordsStale bool
-	txBuf      []Transmission // reused CycleResult buffer
-	crBuf      CycleResult    // RunCycles' reused result (avoids a per-batch escape)
+	// gens[i] is slots[i].Gen() as of its last key latch onto the network
+	// bus; genReload forces a relatch (fresh scheduler, dynamic admission).
+	gens  []uint64
+	txBuf []Transmission // reused CycleResult buffer
+	crBuf CycleResult    // RunCycles' reused result (avoids a per-batch escape)
 }
 
 // genReload never equals uint64(regblock.Block.Gen()), so a gens entry set
@@ -442,12 +441,15 @@ func (s *Scheduler) PipelinedInitiationInterval() int {
 // RunCycle executes one decision cycle. It panics if Start was not called
 // (a harness wiring error). Bulk drivers use RunCycles, which reuses one
 // CycleResult across the batch instead of returning a fresh value per cycle.
+// Timed sources are synced when it returns, as at the end of a RunCycles
+// batch.
 func (s *Scheduler) RunCycle() CycleResult {
 	if !s.started {
 		panic("core: RunCycle before Start")
 	}
 	var cr CycleResult
-	s.runCycle(&cr)
+	s.cycle(&cr)
+	s.syncSources()
 	return cr
 }
 
@@ -460,33 +462,31 @@ func (s *Scheduler) RunCycle() CycleResult {
 // This is the bulk decision driver: the per-cycle work is exactly RunCycle's,
 // but the result value is not copied out per cycle and the endsystem/shard
 // pipelines and RunFor all feed through here.
+//
+// Timed sources are current as of their last pull inside a batch, and
+// synced when the call returns: a visitor reading a source's own counters
+// (traffic.Periodic.Generated, say) sees them as of that slot's last refill
+// or service, and every caller after RunCycles returns sees them advanced to
+// the last executed cycle.
 func (s *Scheduler) RunCycles(n int, visit func(*CycleResult) bool) int {
 	if !s.started {
 		panic("core: RunCycles before Start")
 	}
-	// Blind batches — no visitor, no trace, no metrics — take the lean
-	// cycle path: nothing observes per-cycle results, so the scheduler
-	// skips materializing them (and the network skips gathering the
-	// ordered block) while producing bit-identical slot state, counters
-	// and clocks. See runCycleLean for the equivalence argument.
-	if visit == nil && s.trace == nil && s.obs == nil {
-		s.wordsStale = true // lean latches drive keys only; see runCycle
-		for i := 0; i < n; i++ {
-			s.runCycleLean()
-		}
-		s.syncSources()
-		return n
+	if n <= 0 {
+		return 0 // no cycle ran: sources stay where Admit/Rebind left them
 	}
 	// The batch result lives in the scheduler, not the stack: &cr handed to
 	// the visit closure would force a heap allocation per RunCycles call,
 	// which the zero-alloc guarantee (and its AllocsPerRun guards) forbid.
 	cr := &s.crBuf
 	for i := 0; i < n; i++ {
-		s.runCycle(cr)
+		s.cycle(cr)
 		if visit != nil && !visit(cr) {
+			s.syncSources()
 			return i + 1
 		}
 	}
+	s.syncSources()
 	return n
 }
 
@@ -502,11 +502,11 @@ func (s *Scheduler) recenter(t uint64) {
 }
 
 // syncSources advances every timed source to the last executed cycle's
-// virtual time. The lean cycle path advances a source only when the cycle
-// pulls from it (lazy advance); this batch-end sync restores the invariant
-// the eager path maintains — all sources current as of the latest cycle — so
-// source-side observers (traffic.Periodic.Generated and friends) read
-// identical values at every public-call boundary.
+// virtual time. The cycle advances a source only when it pulls from it
+// (lazy advance); this sync at every public-call boundary restores the
+// invariant that all sources are current as of the latest cycle, so
+// source-side observers (traffic.Periodic.Generated and friends) read the
+// same values an every-cycle advance would have left.
 func (s *Scheduler) syncSources() {
 	if s.vnow == 0 {
 		return
@@ -519,110 +519,35 @@ func (s *Scheduler) syncSources() {
 	}
 }
 
-// runCycleLean executes one decision cycle with no observers attached,
-// producing the same slot state, counters, virtual clock and hardware-clock
-// accounting as runCycle while skipping everything only observers consume:
-// the CycleResult and its Transmissions, the metrics staging, and the
-// materialized block order (RunLoadedLight routes the key plane but not the
-// attribute words; members are read positionally via BlockSlotAt).
+// transmission records slot b's head going out at rank r. It must run
+// before b's Service, which advances the head: the fields are exactly those
+// of the attribute word the slot latched for this cycle's decision.
+func transmission(b *regblock.Block, r int, late bool) Transmission {
+	w := b.Out()
+	return Transmission{
+		Slot: w.Slot, Rank: r, Late: late, Deadline: w.Deadline,
+		Arrival: w.Arrival, Arrival64: b.Arrival64(),
+	}
+}
+
+// cycle executes one decision cycle into cr (overwriting it entirely) on the
+// key plane: slots latch only their packed rank keys, RunLoadedLight routes
+// keys and slot IDs, and members are read positionally via BlockSlotAt —
+// the ordered attribute-word block is never materialized. Each Transmission
+// is read off the member's Register Base block before its Service, so it
+// carries exactly the values its latched word would have.
 //
 // Source advances are lazy: a timed source is advanced exactly when the
 // cycle is about to pull a head from it — refill of an empty slot, service
 // of a block member or winner, expiry drop of a window-constrained loser —
-// and all sources re-sync at batch end. Every TimedSource in the tree
-// advances latest-wins (an Advance to t' ≥ t leaves identical state whether
-// or not Advance(t) ran in between; package tests pin this), so skipped
-// intermediate advances are unobservable. Per-slot class facts come from
-// the cacheSpec caches; a valid slot is refilled only when its starvation
-// guard needs the tick, exactly the cases Refill acts on.
-func (s *Scheduler) runCycleLean() {
-	t := s.vnow
-
-	if t >= s.nextRekey {
-		s.keyRef = attr.WrapTime(t) - 0x8000
-		s.recenter(t)
-		for _, b := range s.slots {
-			b.SetKeyRef(s.keyRef)
-		}
-		s.nextRekey = t + keyRefreshPeriod
-	} else if t >= s.nextRecenter {
-		s.recenter(t)
-	}
-
-	for i, b := range s.slots {
-		if !b.Valid() {
-			if ts := s.timed[i]; ts != nil {
-				ts.Advance(t)
-			}
-			b.Refill(t)
-		} else if s.guarded[i] {
-			b.Refill(t)
-		}
-		if g := uint64(b.Gen()); g != s.gens[i] {
-			s.gens[i] = g
-			s.nw.SetInputKey(i, b.Key())
-		}
-	}
-	lt := s.nw.RunLoadedLight()
-
-	switch {
-	case s.cfg.Routing == WinnerOnly && !lt.Idle:
-		w := lt.WinnerSlot
-		wb := s.slots[w]
-		if ts := s.timed[w]; ts != nil {
-			ts.Advance(t)
-		}
-		s.arrHint, s.dlHint = wb.Arrival64(), wb.Deadline64()
-		wb.Service(wb.Deadline64() < t, true)
-		exp := t + 1
-		for i, b := range s.slots {
-			if !s.expirable[i] || i == int(w) || !b.Valid() || b.Deadline64() >= exp {
-				continue
-			}
-			if s.wcClass[i] {
-				if ts := s.timed[i]; ts != nil {
-					ts.Advance(t)
-				}
-				b.ExpireCheck(exp)
-			} else {
-				// ExpireCheck's EDF arm: charge the miss, keep the head.
-				b.Counters.Missed++
-			}
-		}
-	case s.cfg.Routing != WinnerOnly && lt.Valid > 0:
-		valid := lt.Valid
-		var circulated attr.SlotID
-		if s.cfg.Circulate == MaxFirst {
-			circulated = s.nw.BlockSlotAt(0)
-		} else {
-			circulated = s.nw.BlockSlotAt(valid - 1)
-		}
-		for r := 0; r < valid; r++ {
-			pos := r
-			if s.cfg.Circulate == MinFirst {
-				pos = valid - 1 - r // tail-first transaction
-			}
-			slot := s.nw.BlockSlotAt(pos)
-			mb := s.slots[slot]
-			if ts := s.timed[slot]; ts != nil {
-				ts.Advance(t)
-			}
-			if r == 0 {
-				s.arrHint, s.dlHint = mb.Arrival64(), mb.Deadline64()
-			}
-			mb.Service(mb.Deadline64() < t+uint64(r), slot == circulated)
-		}
-	default:
-		s.idleCount++
-	}
-
-	s.decisions++
-	s.hwCycles += uint64(s.cpd)
-	s.vnow++
-}
-
-// runCycle executes one decision cycle into cr (overwriting it entirely).
-func (s *Scheduler) runCycle(cr *CycleResult) {
+// and the public drivers re-sync all sources when they return
+// (syncSources). Every TimedSource in the tree advances latest-wins (an
+// Advance to t' ≥ t leaves identical state whether or not Advance(t) ran in
+// between; package tests pin this), so skipped intermediate advances are
+// unobservable through the head stream. Per-slot class facts come from the
+// cacheSpec caches; a valid slot is refilled only when its starvation guard
+// needs the tick, exactly the cases Refill acts on.
+func (s *Scheduler) cycle(cr *CycleResult) {
 	t := s.vnow
 
 	// Epochal key-reference refresh: re-center the packed-key normalization
@@ -639,57 +564,107 @@ func (s *Scheduler) runCycle(cr *CycleResult) {
 		s.recenter(t)
 	}
 
-	// A lean batch ran since the last full cycle: its latches drove keys
-	// only (the Light path never reads the attribute words), so force every
-	// slot's word back onto the bus before a word-materializing run.
-	if s.wordsStale {
-		for i := range s.gens {
-			s.gens[i] = genReload
-		}
-		s.wordsStale = false
-	}
-
-	// INGEST half 1 fused with the SCHEDULE latch: release newly arrived
-	// traffic, refill idle slots (the Streaming unit keeping card queues
-	// full), and drive each slot's attribute word and cached rank key onto
-	// the network's input registers — one pass over the slots, slots being
-	// mutually independent until the network runs. A slot whose mutation
-	// generation is unchanged since its last latch is already on the bus
-	// and is skipped.
+	// INGEST half 1 fused with the SCHEDULE latch: refill idle slots (the
+	// Streaming unit keeping card queues full) and drive each changed slot's
+	// rank key onto the network's input registers. A slot whose mutation
+	// generation is unchanged since its last latch is already on the bus.
 	for i, b := range s.slots {
-		if ts := s.timed[i]; ts != nil {
-			ts.Advance(t)
+		if !b.Valid() {
+			if ts := s.timed[i]; ts != nil {
+				ts.Advance(t)
+			}
+			b.Refill(t)
+		} else if s.guarded[i] {
+			b.Refill(t)
 		}
-		b.Refill(t)
 		if g := uint64(b.Gen()); g != s.gens[i] {
 			s.gens[i] = g
-			s.nw.SetInput(i, b.Out(), b.Key())
+			s.nw.SetInputKey(i, b.Key())
 		}
 	}
-	res := s.nw.RunLoaded()
+	lt := s.nw.RunLoadedLight()
 
 	*cr = CycleResult{
 		Decision: s.decisions,
 		Time:     t,
 		HWCycles: s.cpd,
+		Idle:     lt.Idle,
 	}
 	s.txBuf = s.txBuf[:0]
 	s.cycleExpiries = 0
 	s.cycleWinnerKey = 0
 
-	switch s.cfg.Routing {
-	case WinnerOnly:
-		s.runWinnerOnly(t, res, cr)
+	switch {
+	case lt.Idle:
+		s.idleCount++
+	case s.cfg.Routing == WinnerOnly:
+		// Transmit the single winner.
+		w := lt.WinnerSlot
+		wb := s.slots[w]
+		cr.Winner = w
+		s.cycleWinnerKey = wb.Key()
+		if ts := s.timed[w]; ts != nil {
+			ts.Advance(t)
+		}
+		s.arrHint, s.dlHint = wb.Arrival64(), wb.Deadline64()
+		late := wb.Deadline64() < t
+		s.txBuf = append(s.txBuf, transmission(wb, 0, late))
+		wb.Service(late, true)
+		// PRIORITY_UPDATE, loser side: a head that can no longer be
+		// scheduled by its deadline (the next opportunity is t+1) charges
+		// the missed-deadline counter — per decision cycle, the paper's
+		// Table 3 accounting — and, for window-constrained streams, is
+		// dropped (ExpireCheck).
+		exp := t + 1
+		for i, b := range s.slots {
+			if !s.expirable[i] || i == int(w) || !b.Valid() || b.Deadline64() >= exp {
+				continue
+			}
+			s.cycleExpiries++
+			if s.wcClass[i] {
+				if ts := s.timed[i]; ts != nil {
+					ts.Advance(t)
+				}
+				b.ExpireCheck(exp)
+			} else {
+				// ExpireCheck's EDF arm: charge the miss, keep the head.
+				b.Counters.Missed++
+			}
+		}
 	default:
-		s.runBlock(t, res, cr)
+		// Transmit the whole block as one transaction, head-first
+		// (max-first) or tail-first (min-first), circulating the
+		// corresponding end for PRIORITY_UPDATE. Invalid slots sink to the
+		// block tail, so the valid prefix is the transaction.
+		valid := lt.Valid
+		circulated := s.nw.BlockSlotAt(0)
+		if s.cfg.Circulate == MinFirst {
+			circulated = s.nw.BlockSlotAt(valid - 1)
+		}
+		cr.Winner = circulated
+		s.cycleWinnerKey = s.slots[circulated].Key()
+		for r := 0; r < valid; r++ {
+			pos := r
+			if s.cfg.Circulate == MinFirst {
+				pos = valid - 1 - r // tail-first transaction
+			}
+			slot := s.nw.BlockSlotAt(pos)
+			mb := s.slots[slot]
+			if ts := s.timed[slot]; ts != nil {
+				ts.Advance(t)
+			}
+			if r == 0 {
+				s.arrHint, s.dlHint = mb.Arrival64(), mb.Deadline64()
+			}
+			late := mb.Deadline64() < t+uint64(r)
+			s.txBuf = append(s.txBuf, transmission(mb, r, late))
+			mb.Service(late, slot == circulated)
+		}
 	}
 
 	s.decisions++
-	s.hwCycles += uint64(cr.HWCycles)
+	s.hwCycles += uint64(s.cpd)
 	s.vnow++
-	if cr.Idle {
-		s.idleCount++
-	}
 	cr.Transmissions = s.txBuf
 	if s.trace != nil {
 		s.emitTrace(cr) //sslint:allow allocproof — tracing is a debug facility; trace is nil on measured runs
@@ -830,77 +805,6 @@ func (s *Scheduler) Retune(i int, spec attr.Spec) error {
 		s.trace.Add(hwsim.Event{Cycle: s.hwCycles, Signal: "ctl.state", Value: fmt.Sprintf("RETUNE[slot %d]", i)})
 	}
 	return nil
-}
-
-// runWinnerOnly transmits the single winner and expire-checks the losers.
-func (s *Scheduler) runWinnerOnly(now uint64, res shuffle.Result, cr *CycleResult) {
-	if !res.Winner.Valid {
-		cr.Idle = true
-		return
-	}
-	w := res.Winner
-	cr.Winner = w.Slot
-	wb := s.slots[w.Slot]
-	s.cycleWinnerKey = wb.Key()
-	s.arrHint, s.dlHint = wb.Arrival64(), wb.Deadline64()
-	late := wb.Deadline64() < now
-	s.txBuf = append(s.txBuf, Transmission{
-		Slot: w.Slot, Rank: 0, Late: late, Deadline: w.Deadline,
-		Arrival: w.Arrival, Arrival64: wb.Arrival64(),
-	})
-	wb.Service(late, true)
-	// PRIORITY_UPDATE, loser side: a head that can no longer be scheduled
-	// by its deadline (the next opportunity is now+1) charges the
-	// missed-deadline counter — per decision cycle, the paper's Table 3
-	// accounting — and, for window-constrained streams, is dropped.
-	for _, b := range s.slots {
-		if b.Slot() == w.Slot {
-			continue
-		}
-		if b.ExpireCheck(now + 1) {
-			s.cycleExpiries++
-		}
-	}
-}
-
-// runBlock transmits the whole block as one transaction, in head-first
-// (max-first) or tail-first (min-first) order, circulating the
-// corresponding end of the block for PRIORITY_UPDATE.
-func (s *Scheduler) runBlock(now uint64, res shuffle.Result, cr *CycleResult) {
-	// Invalid slots sink to the block tail (Decision validity rule), so
-	// the valid prefix is the transaction.
-	valid := len(res.Block)
-	for valid > 0 && !res.Block[valid-1].Valid { //sslint:bounded valid strictly decreases toward its zero floor
-		valid--
-	}
-	if valid == 0 {
-		cr.Idle = true
-		return
-	}
-	var circulated attr.SlotID
-	if s.cfg.Circulate == MaxFirst {
-		circulated = res.Block[0].Slot
-	} else {
-		circulated = res.Block[valid-1].Slot
-	}
-	cr.Winner = circulated
-	s.cycleWinnerKey = s.slots[circulated].Key()
-	for r := 0; r < valid; r++ {
-		member := res.Block[r]
-		if s.cfg.Circulate == MinFirst {
-			member = res.Block[valid-1-r] // tail-first transaction
-		}
-		mb := s.slots[member.Slot]
-		if r == 0 {
-			s.arrHint, s.dlHint = mb.Arrival64(), mb.Deadline64()
-		}
-		late := mb.Deadline64() < now+uint64(r)
-		s.txBuf = append(s.txBuf, Transmission{
-			Slot: member.Slot, Rank: r, Late: late, Deadline: member.Deadline,
-			Arrival: member.Arrival, Arrival64: mb.Arrival64(),
-		})
-		s.slots[member.Slot].Service(late, member.Slot == circulated)
-	}
 }
 
 // RunFor executes n decision cycles, discarding per-cycle results (counters

@@ -97,7 +97,7 @@ func (s *Scheduler) Instrument(m *Metrics) error {
 
 // observe records one completed cycle into the attached bundle. It runs on
 // the decision hot path, so it is structurally allocation-free (allocproof
-// checks it) and guarded by the nil test in runCycle.
+// checks it) and guarded by the nil test in cycle.
 func (s *Scheduler) observe(cr *CycleResult) {
 	m := s.obs
 	m.Decisions.Inc()

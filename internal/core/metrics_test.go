@@ -56,6 +56,17 @@ func TestZeroAllocInstrumented(t *testing.T) {
 			if allocs != 0 {
 				t.Fatalf("instrumented RunCycles(%d) allocated %.2f times (want 0)", batch, allocs)
 			}
+			sent := 0
+			visit := func(cr *CycleResult) bool {
+				sent += len(cr.Transmissions)
+				return true
+			}
+			allocs = testing.AllocsPerRun(50, func() {
+				s.RunCycles(batch, visit)
+			})
+			if allocs != 0 {
+				t.Fatalf("instrumented visited RunCycles(%d) allocated %.2f times (want 0)", batch, allocs)
+			}
 		})
 	}
 }

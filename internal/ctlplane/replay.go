@@ -53,7 +53,7 @@ func Replay(r io.Reader) (*Engine, *ReplayReport, error) {
 		return nil, nil, fmt.Errorf("ctlplane: replay: journal config rejected: %w", err)
 	}
 	rp := &replayer{sc: sc, eng: eng, rep: &ReplayReport{}}
-	if err := rp.verifyHash("header"); err != nil {
+	if err := rp.verifyHash("header", 0); err != nil {
 		return nil, nil, err
 	}
 	rp.commit()
@@ -140,13 +140,14 @@ func (rp *replayer) finish() {
 }
 
 // verifyHash asserts the reconstructed engine has produced exactly the
-// bytes consumed so far.
-func (rp *replayer) verifyHash(at string) error {
+// bytes consumed so far. label and epoch locate the check; they are
+// formatted only on divergence, so a clean replay builds no per-epoch string.
+func (rp *replayer) verifyHash(label string, epoch uint64) error {
 	eh, el := rp.eng.JournalSum()
 	ih, il := rp.sc.sum()
 	if eh != ih || el != il {
-		return fmt.Errorf("%w: at %s: journal %x/%d lines, re-execution %x/%d lines",
-			ErrReplayDivergence, at, ih, il, eh, el)
+		return fmt.Errorf("%w: at %s E%d: journal %x/%d lines, re-execution %x/%d lines",
+			ErrReplayDivergence, label, epoch, ih, il, eh, el)
 	}
 	return nil
 }
@@ -181,7 +182,7 @@ func (rp *replayer) run() error {
 					ErrCorruptJournal, rp.sc.lines)
 			}
 			rp.eng.SetOffering(rec.frames)
-			if err := rp.verifyHash(fmt.Sprintf("offering E%d", rec.epoch)); err != nil {
+			if err := rp.verifyHash("offering", rec.epoch); err != nil {
 				return err
 			}
 			rp.commit()
@@ -235,7 +236,7 @@ func (rp *replayer) fence(rec record) error {
 	rp.pend = rp.pend[:0]
 	rp.pendSeqs = rp.pendSeqs[:0]
 
-	if err := rp.verifyHash(fmt.Sprintf("E%d fence", rec.epoch)); err != nil {
+	if err := rp.verifyHash("fence", rec.epoch); err != nil {
 		if due != nil {
 			if d := rp.eng.Checkpoint().diff(*due); d != "" {
 				return fmt.Errorf("%v (checkpoint: %s)", err, d)

@@ -269,3 +269,56 @@ func TestLatestCheckpoint(t *testing.T) {
 		t.Fatalf("pre-checkpoint prefix: ok=%t err=%v, want none", ok, err)
 	}
 }
+
+// TestReplayChecksAllocateNothingPerEpoch pins that a clean replay's byte
+// identity checks build no per-epoch location string: over two journal
+// lengths, replay's extra allocations per epoch are exactly re-execution's
+// (a live engine stepping the same epochs) plus parsing's (LatestCheckpoint
+// scanning the same journal), with nothing left over for verifyHash.
+func TestReplayChecksAllocateNothingPerEpoch(t *testing.T) {
+	cfg := Config{Shards: 1, SlotsPerShard: 4, CheckpointEvery: -1}
+	journal := func(epochs int) []byte {
+		var buf bytes.Buffer
+		c := cfg
+		c.Journal = &buf
+		eng, err := New(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < epochs; i++ {
+			eng.Step()
+		}
+		return buf.Bytes()
+	}
+	const k = 100
+	short, long := journal(k), journal(2*k)
+	// perEpoch is f's allocation slope between the k- and 2k-epoch runs.
+	perEpoch := func(f func(epochs int, text []byte)) float64 {
+		a := testing.AllocsPerRun(3, func() { f(k, short) })
+		b := testing.AllocsPerRun(3, func() { f(2*k, long) })
+		return (b - a) / k
+	}
+	replay := perEpoch(func(_ int, text []byte) {
+		if _, _, err := Replay(bytes.NewReader(text)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	live := perEpoch(func(epochs int, _ []byte) {
+		eng, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < epochs; i++ {
+			eng.Step()
+		}
+	})
+	parse := perEpoch(func(_ int, text []byte) {
+		if _, _, err := LatestCheckpoint(bytes.NewReader(text)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if extra := replay - live - parse; extra > 0.5 || extra < -0.5 {
+		t.Fatalf("replay allocates %.2f/epoch = re-execution %.2f + parsing %.2f + %.2f unexplained (want 0)",
+			replay, live, parse, extra)
+	}
+}

@@ -18,8 +18,8 @@ import (
 // out of the hot set.
 var builtin = map[string]map[string]bool{
 	"repro/internal/core": {
-		"Scheduler.runCycle": true, "Scheduler.RunCycles": true, "Scheduler.RunFor": true,
-		"Scheduler.runWinnerOnly": true, "Scheduler.runBlock": true, "Scheduler.observe": true,
+		"Scheduler.cycle": true, "Scheduler.RunCycles": true, "Scheduler.RunFor": true,
+		"Scheduler.syncSources": true, "transmission": true, "Scheduler.observe": true,
 	},
 	"repro/internal/shuffle": {
 		"Network.run": true, "Network.runPaperLogN": true, "Network.runBitonic": true,

@@ -202,8 +202,8 @@ func (r *Router) SetStreamProgram(id StreamID, p decision.Program) error {
 }
 
 // StepShard hands shard k's scheduler n decision cycles, forwarding each
-// cycle's result to visit exactly as core.RunCycles does (visit may be nil
-// for the lean path). It is the live mode's shard clock: the ctlplane
+// cycle's result to visit exactly as core.RunCycles does (visit may be
+// nil). It is the live mode's shard clock: the ctlplane
 // engine steps every shard once per epoch, and the quiescent gaps between
 // StepShard calls are where mutations fence in.
 func (r *Router) StepShard(k, n int, visit func(*core.CycleResult) bool) (int, error) {

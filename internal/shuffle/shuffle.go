@@ -496,15 +496,16 @@ func (nw *Network) SetInput(i int, w attr.Attributes, k attr.Key) {
 	nw.noteKey(i, nw.keyUnsafe(k))
 }
 
-// SetInputKey relatches only slot i's packed rank key, for bulk drivers on
-// the Light path: RunLoadedLight routes the key and identity files and never
+// SetInputKey relatches only slot i's packed rank key, for drivers on the
+// Light path: RunLoadedLight routes the key and identity files and never
 // reads the latched attribute words, so a driver that consumes decisions
 // positionally (BlockSlotAt) can skip the word and identity stores on every
-// head advance. The identity aux word keeps the slot ID from the latch's
-// last full SetInput (the Register Base wiring, fixed per latch position in
-// practice); the word register itself goes stale — drivers that later need a
-// word-materializing run must force a full relatch first, as core's
-// runCycle does when resuming from its lean path.
+// head advance. core's decision cycle latches this way and never
+// materializes words. The identity aux word keeps the slot ID from the
+// latch's last full SetInput (the Register Base wiring, fixed per latch
+// position in practice); the word register itself goes stale — a driver
+// that mixes in a word-materializing run (RunLoaded) must SetInput every
+// slot first.
 func (nw *Network) SetInputKey(i int, k attr.Key) {
 	k = nw.rebase(k & nw.keyMask)
 	nw.latchKeys[i] = k

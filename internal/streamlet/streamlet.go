@@ -119,7 +119,7 @@ var errNoPending = errors.New("streamlet: transmit with no outstanding head")
 // That is unobservable through the head stream provided every nested
 // source advances latest-wins — Advance(t2) leaves the same state whether
 // or not an Advance(t1 ≤ t2) ran before it — which every TimedSource in the
-// tree does and core's lean cycle path already relies on. A caller that
+// tree does and core's decision cycle already relies on. A caller that
 // reads a nested source's own counters (traffic.Periodic.Generated, say)
 // sees them as of that streamlet's last poll.
 type Aggregator struct {

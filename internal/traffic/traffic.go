@@ -5,8 +5,9 @@
 //
 // Generators implement regblock.HeadSource (the pull side the Register Base
 // block drains) and core.TimedSource (the scheduler advances them to the
-// current virtual time before each decision cycle, releasing newly
-// "arrived" packets).
+// current virtual time before it pulls a head, releasing newly "arrived"
+// packets, and syncs them all when a RunCycles batch returns). Every Advance
+// here is latest-wins, which that lazy schedule relies on.
 package traffic
 
 import (
