@@ -1,6 +1,6 @@
 # ShareStreams-Go convenience targets (plain `go` commands work too).
 
-.PHONY: all check ci build test race bench bench-check spine-compare report experiments cover fuzz fuzz-smoke lint lint-ci lint-stats chaos soak crash smoke
+.PHONY: all check ci build test race bench bench-check spine-compare experiments cover fuzz fuzz-smoke lint lint-ci lint-stats chaos soak crash smoke
 
 all: build test race lint
 
@@ -17,7 +17,7 @@ check: all bench-check cover chaos soak crash smoke fuzz-smoke
 # reproduced by `make spine-compare`). lint-ci is the workflow's
 # lint step: the same suite as lint plus the sslint.json artifact and the
 # suppression audit.
-ci: build test smoke race lint-ci bench-check cover chaos soak crash
+ci: build test smoke race lint-ci bench-check cover chaos fuzz-smoke soak crash
 
 build:
 	go build ./...
@@ -85,10 +85,6 @@ BASE := HEAD~1
 
 spine-compare:
 	./scripts/spine_compare.sh $(BASE)
-
-report:
-	go run ./cmd/ssreport -full > report.md
-	@echo wrote report.md
 
 experiments:
 	go run ./cmd/ssbench all
@@ -162,12 +158,17 @@ fuzz:
 	go test -fuzz FuzzCompareConsistency -fuzztime 30s ./internal/decision/
 	go test -fuzz FuzzKeyTieDifferential -fuzztime 30s ./internal/decision/
 	go test -fuzz FuzzProgramRank -fuzztime 30s ./internal/decision/
+	go test -fuzz FuzzFastOrderDifferential -fuzztime 30s ./internal/decision/
 
-# Ten-second fuzzes of the decision-rule consistency properties — cheap
-# enough for the check umbrella. FuzzProgramRank draws its program from the
-# fuzzed input modulo NumPrograms, so every registered rank program is
-# exercised; FuzzKeyTieDifferential pins the tie fast path to the cascade.
+# Ten-second runs of every fuzz target — cheap enough for the check umbrella
+# and a required CI leg. FuzzWinnerCorrect checks every shuffle schedule's
+# winner against the reference minimum; FuzzProgramRank draws its program
+# from the fuzzed input modulo NumPrograms, so every registered rank program
+# is exercised; FuzzKeyTieDifferential and FuzzFastOrderDifferential pin the
+# tie and ordering fast paths to the cascade.
 fuzz-smoke:
+	go test -run xxx -fuzz FuzzWinnerCorrect -fuzztime 10s ./internal/shuffle/
 	go test -run xxx -fuzz FuzzCompareConsistency -fuzztime 10s ./internal/decision/
 	go test -run xxx -fuzz FuzzKeyTieDifferential -fuzztime 10s ./internal/decision/
 	go test -run xxx -fuzz FuzzProgramRank -fuzztime 10s ./internal/decision/
+	go test -run xxx -fuzz FuzzFastOrderDifferential -fuzztime 10s ./internal/decision/

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/fpga"
-	"repro/internal/pci"
 )
 
 // BenchmarkTable3_MaxFinding regenerates Table 3's max-finding (winner-only
@@ -157,10 +156,11 @@ func BenchmarkSec52_Throughput(b *testing.B) {
 }
 
 // BenchmarkSec52_Pipeline drives the functional endsystem pipeline
-// (producer → rings → scheduler → tx ring → engine) end to end.
+// (producer → rings → scheduler → tx ring → engine) end to end: the
+// one-shard sharded endsystem.
 func BenchmarkSec52_Pipeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.PipelineRun(4, 8000, pci.ModePIO)
+		res, err := RunShardedOpts(1, 4, 8000, ShardedOptions{Mode: TransferPIO})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -324,7 +324,7 @@ func BenchmarkShardedThroughput(b *testing.B) {
 		b.Run(fmt.Sprintf("shards%d", k), func(b *testing.B) {
 			var modeled, wall float64
 			for i := 0; i < b.N; i++ {
-				res, err := RunSharded(k, slotsPerShard, framesPerStream, TransferNone)
+				res, err := RunShardedOpts(k, slotsPerShard, framesPerStream, ShardedOptions{Mode: TransferNone})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -54,7 +54,7 @@ func faults(csvPath string, shards int, seed int64) error {
 		}
 		var tr fault.Trace
 		res, err := endsystem.RunShardedSupervised(
-			shards, slotsPerShard, framesPerStream, pci.ModePIO,
+			shards, slotsPerShard, framesPerStream, pci.ModePIO, decision.ProgramDWCS,
 			sched, shard.RecoveryConfig{Policy: qm.RejectNew}, &tr)
 		if err != nil {
 			return fmt.Errorf("level %d: %w\n%s", lvl, err, tr.String())
@@ -114,7 +114,7 @@ func faultsPerProgram(shards int, seed int64) error {
 			return err
 		}
 		var tr fault.Trace
-		res, err := endsystem.RunShardedSupervisedProgram(
+		res, err := endsystem.RunShardedSupervised(
 			shards, slotsPerShard, framesPerStream, pci.ModePIO, p,
 			sched, shard.RecoveryConfig{Policy: qm.RejectNew}, &tr)
 		if err != nil {

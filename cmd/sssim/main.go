@@ -56,16 +56,21 @@ func main() {
 	default:
 		fatal("unknown -circulate %q (max or min)", *circulate)
 	}
-	dev := fpga.VirtexI
-	if *device == "v2" {
+	var dev fpga.Device
+	switch *device {
+	case "v1":
+		dev = fpga.VirtexI
+	case "v2":
 		dev = fpga.VirtexII
+	default:
+		fatal("unknown -device %q (v1 or v2)", *device)
 	}
 
 	sched, err := core.New(cfg)
 	if err != nil {
 		fatal("%v", err)
 	}
-	if err := admit(sched, cfg.Slots, *mix); err != nil {
+	if err := admit(sched, cfg.Slots, *mix, *cycles); err != nil {
 		fatal("%v", err)
 	}
 	var reg *obs.Registry
@@ -151,8 +156,10 @@ func main() {
 }
 
 // admit fills the scheduler with a workload: all-EDF (staggered deadlines,
-// backlogged) or a 4-way mixed-discipline rotation.
-func admit(sched *core.Scheduler, slots int, mix bool) error {
+// backlogged) or a 4-way mixed-discipline rotation. A slot serves at most
+// one frame per decision cycle, so a fair-share slot's tag trace needs no
+// more than cycles+1 entries (capped at 2²⁰).
+func admit(sched *core.Scheduler, slots int, mix bool, cycles int) error {
 	for i := 0; i < slots; i++ {
 		var spec attr.Spec
 		switch {
@@ -172,7 +179,7 @@ func admit(sched *core.Scheduler, slots int, mix bool) error {
 			}
 		}
 		if spec.Class == attr.FairTag {
-			n := 1 << 20
+			n := max(1, min(cycles+1, 1<<20))
 			arr := make([]uint64, n)
 			tags := make([]uint64, n)
 			for k := range arr {

@@ -71,6 +71,21 @@ func ExampleEndsystemThroughput() {
 	// PIO:          299065 pps
 }
 
+// ExampleRunShardedOpts runs the Figure 3 pipeline — producer, per-stream
+// rings, scheduler, tx ring, transmission engine — as one shard and as two
+// evenly loaded shards. Modeled time is the slowest shard's, so one shard
+// lands on the §5.2 operating point and two report twice it.
+func ExampleRunShardedOpts() {
+	for _, k := range []int{1, 2} {
+		res, _ := sharestreams.RunShardedOpts(k, 4, 500,
+			sharestreams.ShardedOptions{Mode: sharestreams.TransferNone})
+		fmt.Printf("%d shard(s): %d frames, %d pps modeled\n", k, res.Frames, int(res.PacketsPerS))
+	}
+	// Output:
+	// 1 shard(s): 2000 frames, 469483 pps modeled
+	// 2 shard(s): 4000 frames, 938967 pps modeled
+}
+
 // ExampleAggregate binds six streamlets (two weighted sets) to one
 // stream-slot.
 func ExampleAggregate() {

@@ -8,13 +8,13 @@
 //   - Throughput computes the §5.2 operating points: packets/second with
 //     transfers excluded (the paper's 469,483 pps), with PIO transfers
 //     (299,065 pps) and with DMA pulls (the peer-peer enhancement §5.2
-//     anticipates). The RunSharded family and RunPipeline (its K=1 case)
-//     additionally drive the real concurrent pipeline — producer →
-//     per-stream rings → scheduler → tx ring → transmission engine, the one
-//     in package shard — over an evenly loaded router, to validate the
-//     synchronization-free structure end to end (frame conservation, no
-//     locks), while the timing itself comes from the calibrated cost model
-//     so results stay deterministic.
+//     anticipates). RunShardedOpts (a one-shard call is the single
+//     pipeline) and RunShardedSupervised additionally drive the real
+//     concurrent pipeline — producer → per-stream rings → scheduler → tx
+//     ring → transmission engine, the one in package shard — over an evenly
+//     loaded router, to validate the synchronization-free structure end to
+//     end (frame conservation, no locks), while the timing itself comes
+//     from the calibrated cost model so results stay deterministic.
 //
 //   - RunAllocation drives the bandwidth-allocation experiments of Figures
 //     8–10: backlogged or bursty streams with rate ratios enforced by EDF
@@ -75,72 +75,6 @@ func Throughput(mode pci.Mode) (OperatingPoint, error) {
 		HostNs:      HostCostNs,
 		TransferNs:  per,
 		PacketsPerS: 1e9 / (HostCostNs + per),
-	}, nil
-}
-
-// PipelineResult reports a functional pipelined run.
-type PipelineResult struct {
-	Frames      uint64 // frames delivered to the network
-	PerStream   []uint64
-	VirtualNs   float64 // modeled time for the run (host + metered transfers)
-	PacketsPerS float64
-	// Metered transfer accounting from the actual pci.Bus driven by the
-	// run's batch count (zero under ModeNone).
-	TransferNs   float64
-	BankSwitches uint64
-	Batches      uint64
-}
-
-// RunPipeline pushes framesPerStream frames per stream through the full
-// concurrent pipeline — the K=1 case of the sharded endsystem: one shard of
-// slots streams under the three-goroutine driver (shard.Router.Run), a
-// producer filling the Queue Manager's per-stream rings, the scheduler loop
-// draining them through head-source adapters into the tx ring, and a
-// Transmission Engine goroutine consuming it — all over synchronization-free
-// SPSC rings, no locks. Timing comes from the calibrated cost model.
-func RunPipeline(slots, framesPerStream int, mode pci.Mode) (PipelineResult, error) {
-	return RunPipelineInstrumented(slots, framesPerStream, mode, nil)
-}
-
-// RunPipelineInstrumented is RunPipeline with an observability registry
-// attached: the scheduler records its core.* bundle (tracer depth 256) and
-// the Queue Manager publishes its qm.* gauges on reg for the duration of the
-// run. A nil reg degrades to the uninstrumented RunPipeline. Scrape reg live
-// (atomic core counters, observer-safe backlog) or read the full snapshot
-// after the run returns; the qm totals gauges are exact only once quiescent.
-func RunPipelineInstrumented(slots, framesPerStream int, mode pci.Mode, reg *obs.Registry) (PipelineResult, error) {
-	if slots < 2 || framesPerStream < 1 {
-		return PipelineResult{}, fmt.Errorf("endsystem: bad pipeline config (%d slots, %d frames)", slots, framesPerStream)
-	}
-	spec := attr.Spec{Class: attr.EDF, Period: uint16(slots)}
-	router, err := balancedRouter(1, slots, spec, shard.Config{Mode: mode})
-	if err != nil {
-		return PipelineResult{}, err
-	}
-	if reg != nil {
-		router.Manager(0).RegisterMetrics(reg, "qm")
-		m, err := core.NewMetrics(reg, "core", 256)
-		if err != nil {
-			return PipelineResult{}, err
-		}
-		if err := router.Instrument(0, m); err != nil {
-			return PipelineResult{}, err
-		}
-	}
-	res, err := router.Run(framesPerStream)
-	if err != nil {
-		return PipelineResult{}, err
-	}
-	// One shard, balanced admission: stream i sits in slot i.
-	sr, bus := res.PerShard[0], router.Bus(0)
-	return PipelineResult{
-		Frames:       res.Frames,
-		PerStream:    sr.PerSlot,
-		VirtualNs:    res.VirtualNs,
-		PacketsPerS:  res.PacketsPerS,
-		TransferNs:   sr.TransferNs,
-		BankSwitches: bus.BankSwitches,
-		Batches:      bus.Batches,
 	}, nil
 }
 

@@ -2,12 +2,13 @@ package endsystem
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
+	"repro/internal/attr"
 	"repro/internal/core"
 	"repro/internal/pci"
 	"repro/internal/regblock"
+	"repro/internal/shard"
 )
 
 func TestOperatingPoints(t *testing.T) {
@@ -36,15 +37,31 @@ func TestOperatingPoints(t *testing.T) {
 	}
 }
 
+// onePipeline runs the single Figure 3 pipeline — the one-shard case of
+// RunShardedOpts, built the same way (balancedRouter, stream i in slot i) —
+// and returns the router too, so tests can read the metered bus.
+func onePipeline(t *testing.T, slots, framesPerStream int, mode pci.Mode) (*shard.Result, *shard.Router) {
+	t.Helper()
+	router, err := balancedRouter(1, slots, attr.Spec{Class: attr.EDF, Period: uint16(slots)}, shard.Config{Mode: mode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := router.Run(framesPerStream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, router
+}
+
 func TestRunPipelineConservesFrames(t *testing.T) {
-	res, err := RunPipeline(4, 2000, pci.ModeNone)
+	res, err := RunShardedOpts(1, 4, 2000, ShardedOptions{Mode: pci.ModeNone})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Frames != 8000 {
 		t.Fatalf("delivered %d frames, want 8000", res.Frames)
 	}
-	for i, n := range res.PerStream {
+	for i, n := range res.PerShard[0].PerSlot {
 		if n != 2000 {
 			t.Errorf("stream %d delivered %d, want 2000", i, n)
 		}
@@ -58,10 +75,10 @@ func TestRunPipelineConservesFrames(t *testing.T) {
 }
 
 func TestRunPipelineValidation(t *testing.T) {
-	if _, err := RunPipeline(1, 10, pci.ModeNone); err == nil {
+	if _, err := RunShardedOpts(1, 1, 10, ShardedOptions{}); err == nil {
 		t.Error("accepted 1 slot")
 	}
-	if _, err := RunPipeline(4, 0, pci.ModeNone); err == nil {
+	if _, err := RunShardedOpts(1, 4, 0, ShardedOptions{}); err == nil {
 		t.Error("accepted 0 frames")
 	}
 }
@@ -177,70 +194,36 @@ func TestRunPipelineMeteredPIOMatchesAnalytic(t *testing.T) {
 	// 4 streams x 1600 frames = 6400 = 200 exact batches of 32: the
 	// metered bus must land exactly on the calibrated §5.2 operating
 	// point.
-	res, err := RunPipeline(4, 1600, pci.ModePIO)
-	if err != nil {
-		t.Fatal(err)
+	res, router := onePipeline(t, 4, 1600, pci.ModePIO)
+	if res.Frames != 6400 {
+		t.Fatalf("delivered %d frames, want 6400", res.Frames)
 	}
-	if res.Batches != 400 { // 200 pushes + 200 reads
-		t.Fatalf("bus batches = %d, want 400", res.Batches)
+	bus := router.Bus(0)
+	if bus.Batches != 400 { // 200 pushes + 200 reads
+		t.Fatalf("bus batches = %d, want 400", bus.Batches)
 	}
-	if res.BankSwitches != 800 {
-		t.Fatalf("bank switches = %d, want 800", res.BankSwitches)
+	if bus.BankSwitches != 800 {
+		t.Fatalf("bank switches = %d, want 800", bus.BankSwitches)
 	}
 	if int(res.PacketsPerS) != 299065 {
 		t.Fatalf("metered rate = %d pps, want 299065", int(res.PacketsPerS))
 	}
 	wantTransfer := 1213.75 * 6400
-	if math.Abs(res.TransferNs-wantTransfer) > 1 {
-		t.Fatalf("metered transfer = %v ns, want %v", res.TransferNs, wantTransfer)
+	if got := res.PerShard[0].TransferNs; math.Abs(got-wantTransfer) > 1 {
+		t.Fatalf("metered transfer = %v ns, want %v", got, wantTransfer)
 	}
 }
 
 func TestRunPipelineDMABetweenPIOAndNone(t *testing.T) {
-	pio, err := RunPipeline(4, 800, pci.ModePIO)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dma, err := RunPipeline(4, 800, pci.ModeDMA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	none, err := RunPipeline(4, 800, pci.ModeNone)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pio, _ := onePipeline(t, 4, 800, pci.ModePIO)
+	dma, _ := onePipeline(t, 4, 800, pci.ModeDMA)
+	none, router := onePipeline(t, 4, 800, pci.ModeNone)
 	if !(pio.PacketsPerS < dma.PacketsPerS && dma.PacketsPerS < none.PacketsPerS) {
 		t.Fatalf("ordering: pio %v dma %v none %v", pio.PacketsPerS, dma.PacketsPerS, none.PacketsPerS)
 	}
-	if none.TransferNs != 0 || none.Batches != 0 {
-		t.Fatalf("ModeNone metered transfers: %+v", none)
-	}
-}
-
-// TestRunPipelineIsOneShardRouter pins RunPipeline as the K=1 case of the
-// sharded endsystem: the same frames, per-stream counts and modeled time as
-// a one-shard RunShardedOpts, still on the §5.2 PIO operating point.
-func TestRunPipelineIsOneShardRouter(t *testing.T) {
-	pipe, err := RunPipeline(4, 1600, pci.ModePIO)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := RunShardedOpts(1, 4, 1600, ShardedOptions{Mode: pci.ModePIO})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pipe.Frames != sharded.Frames || pipe.Frames != 6400 {
-		t.Fatalf("frames: pipeline %d, one-shard router %d, want 6400", pipe.Frames, sharded.Frames)
-	}
-	if !reflect.DeepEqual(pipe.PerStream, sharded.PerShard[0].PerSlot) {
-		t.Fatalf("per-stream counts: pipeline %v, one-shard router %v", pipe.PerStream, sharded.PerShard[0].PerSlot)
-	}
-	if pipe.VirtualNs != sharded.VirtualNs || pipe.PacketsPerS != sharded.PacketsPerS {
-		t.Fatalf("modeled time: pipeline %v ns / %v pps, one-shard router %v ns / %v pps",
-			pipe.VirtualNs, pipe.PacketsPerS, sharded.VirtualNs, sharded.PacketsPerS)
-	}
-	if int(pipe.PacketsPerS) != 299065 {
-		t.Fatalf("metered rate = %d pps, want 299065", int(pipe.PacketsPerS))
+	if none.PerShard[0].TransferNs != 0 || router.Bus(0).Batches != 0 {
+		t.Fatalf("ModeNone metered transfers: %v ns over %d batches",
+			none.PerShard[0].TransferNs, router.Bus(0).Batches)
 	}
 }
 
@@ -305,7 +288,7 @@ func TestRunAllocationCompletenessAccounting(t *testing.T) {
 
 func TestRunShardedReproducesOperatingPoint(t *testing.T) {
 	// One shard must land exactly on the §5.2 ModeNone operating point.
-	res1, err := RunSharded(1, 4, 500, pci.ModeNone)
+	res1, err := RunShardedOpts(1, 4, 500, ShardedOptions{Mode: pci.ModeNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +302,7 @@ func TestRunShardedReproducesOperatingPoint(t *testing.T) {
 
 	// K evenly loaded shards complete in the same modeled time, so the
 	// aggregate modeled throughput is K× the single-pipeline rate.
-	res4, err := RunSharded(4, 4, 500, pci.ModeNone)
+	res4, err := RunShardedOpts(4, 4, 500, ShardedOptions{Mode: pci.ModeNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,11 +316,11 @@ func TestRunShardedReproducesOperatingPoint(t *testing.T) {
 }
 
 func TestRunShardedPIOSlowerThanModeNone(t *testing.T) {
-	none, err := RunSharded(2, 4, 320, pci.ModeNone)
+	none, err := RunShardedOpts(2, 4, 320, ShardedOptions{Mode: pci.ModeNone})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pio, err := RunSharded(2, 4, 320, pci.ModePIO)
+	pio, err := RunShardedOpts(2, 4, 320, ShardedOptions{Mode: pci.ModePIO})
 	if err != nil {
 		t.Fatal(err)
 	}

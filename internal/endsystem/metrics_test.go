@@ -4,18 +4,35 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/attr"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pci"
+	"repro/internal/shard"
 )
 
-// TestPipelineInstrumented runs the full concurrent pipeline with the
-// registry attached and checks the scraped view against the returned result.
-// It runs under -race in CI, so it also proves the scrape path (atomic core
+// TestPipelineInstrumented runs the single Figure 3 pipeline (a one-shard
+// balanced router, as RunShardedOpts builds it) with the scheduler's core.*
+// bundle (tracer depth 256) and the Queue Manager's qm.* gauges on one
+// registry, and checks the scraped view against the returned result. It runs
+// under -race in CI, so it also proves the scrape path (atomic core
 // counters, observer-safe backlog) does not race the pipeline goroutines.
 func TestPipelineInstrumented(t *testing.T) {
 	reg := obs.NewRegistry()
 	const slots, frames = 8, 500
-	res, err := RunPipelineInstrumented(slots, frames, pci.ModePIO, reg)
+	router, err := balancedRouter(1, slots, attr.Spec{Class: attr.EDF, Period: slots}, shard.Config{Mode: pci.ModePIO})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router.Manager(0).RegisterMetrics(reg, "qm")
+	m, err := core.NewMetrics(reg, "core", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := router.Instrument(0, m); err != nil {
+		t.Fatal(err)
+	}
+	res, err := router.Run(frames)
 	if err != nil {
 		t.Fatal(err)
 	}

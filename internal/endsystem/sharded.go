@@ -34,16 +34,6 @@ func balancedRouter(shards, slotsPerShard int, spec attr.Spec, opts shard.Config
 	return router, nil
 }
 
-// RunSharded drives the sharded endsystem: shards independent scheduler
-// pipelines, each sized slotsPerShard, evenly loaded (balancedRouter),
-// pushing framesPerStream frames per stream. Modeled completion time is the
-// maximum over shards, so the aggregate PacketsPerS of a 1-shard run
-// reproduces the single-pipeline operating points (469,483 pps ModeNone) and
-// K evenly loaded shards report ≈K× that.
-func RunSharded(shards, slotsPerShard, framesPerStream int, mode pci.Mode) (*shard.Result, error) {
-	return RunShardedOpts(shards, slotsPerShard, framesPerStream, ShardedOptions{Mode: mode})
-}
-
 // ShardedOptions selects the optional machinery of a sharded endsystem run:
 // PCI metering mode, an observability registry (the router publishes its
 // shard.* dispatcher and throughput metrics there; per-shard delivered
@@ -58,7 +48,13 @@ type ShardedOptions struct {
 	BufferPool      qm.SharedConfig
 }
 
-// RunShardedOpts is RunSharded with the optional machinery selectable.
+// RunShardedOpts drives the sharded endsystem: shards independent
+// scheduler pipelines, each sized slotsPerShard, evenly loaded
+// (balancedRouter), pushing framesPerStream frames per stream, with opts
+// selecting the optional machinery. Modeled completion time is the maximum
+// over shards, so a 1-shard run is the single Figure 3 pipeline on the §5.2
+// operating points (469,483 pps ModeNone, 299,065 pps PIO) and K evenly
+// loaded shards report ≈K× that.
 func RunShardedOpts(shards, slotsPerShard, framesPerStream int, opts ShardedOptions) (*shard.Result, error) {
 	spec := attr.Spec{Class: attr.EDF, Period: uint16(slotsPerShard)}
 	router, err := balancedRouter(shards, slotsPerShard, spec, shard.Config{
@@ -73,22 +69,6 @@ func RunShardedOpts(shards, slotsPerShard, framesPerStream int, opts ShardedOpti
 		router.RegisterMetrics(opts.Registry, "shard")
 	}
 	return router.Run(framesPerStream)
-}
-
-// RunShardedSupervised is the chaos-mode counterpart of RunSharded: the
-// same evenly-loaded sharded endsystem, run under a deterministic fault
-// schedule with the self-healing supervisor — crashed pipelines restart
-// with capped backoff, shards dead after the restart budget have their
-// flows re-aggregated as streamlets onto survivors (§4.2), and the whole
-// fault/recovery history lands in trace (byte-identical for a given seed).
-// schedule may be nil (no faults), trace may be nil (discard), and a zero
-// RecoveryConfig takes the defaults.
-func RunShardedSupervised(shards, slotsPerShard, framesPerStream int, mode pci.Mode, schedule *fault.Schedule, rcfg shard.RecoveryConfig, trace *fault.Trace) (*shard.SupervisedResult, error) {
-	// ProgramDWCS with EDF-class specs is bit-for-bit the pre-program
-	// configuration (full datapath, conserved frames), keeping the chaos
-	// traces byte-identical across the refactor.
-	return RunShardedSupervisedProgram(shards, slotsPerShard, framesPerStream, mode,
-		decision.ProgramDWCS, schedule, rcfg, trace)
 }
 
 // programSpec maps a rank program to the uniform stream spec the sharded
@@ -111,12 +91,19 @@ func programSpec(p decision.Program, slotsPerShard int) attr.Spec {
 	}
 }
 
-// RunShardedSupervisedProgram is RunShardedSupervised generalized over the
-// registered rank programs: every shard's scheduler runs program p, and the
-// admitted streams carry p's natural spec (programSpec). The chaos CI job
-// iterates this over decision.Programs() so fault recovery is exercised
-// under every discipline, not just the EDF default.
-func RunShardedSupervisedProgram(shards, slotsPerShard, framesPerStream int, mode pci.Mode, p decision.Program, schedule *fault.Schedule, rcfg shard.RecoveryConfig, trace *fault.Trace) (*shard.SupervisedResult, error) {
+// RunShardedSupervised is the chaos-mode counterpart of RunShardedOpts: the
+// same evenly-loaded sharded endsystem with every shard's scheduler running
+// rank program p over streams of p's natural spec (programSpec), run under a
+// deterministic fault schedule with the self-healing supervisor — crashed
+// pipelines restart with capped backoff, shards dead after the restart
+// budget have their flows re-aggregated as streamlets onto survivors
+// (§4.2), and the whole fault/recovery history lands in trace
+// (byte-identical for a given seed). schedule may be nil (no faults), trace
+// may be nil (discard), and a zero RecoveryConfig takes the defaults.
+// decision.ProgramDWCS over EDF-class specs is the historical chaos
+// configuration (full datapath, conserved frames); the chaos CI job iterates
+// decision.Programs() so recovery is exercised under every discipline.
+func RunShardedSupervised(shards, slotsPerShard, framesPerStream int, mode pci.Mode, p decision.Program, schedule *fault.Schedule, rcfg shard.RecoveryConfig, trace *fault.Trace) (*shard.SupervisedResult, error) {
 	router, err := balancedRouter(shards, slotsPerShard, programSpec(p, slotsPerShard), shard.Config{Mode: mode, Program: p})
 	if err != nil {
 		return nil, err

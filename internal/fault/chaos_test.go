@@ -85,7 +85,7 @@ func runScenario(t *testing.T, i int) (*shard.SupervisedResult, *fault.Trace) {
 	}
 	var tr fault.Trace
 	res, err := endsystem.RunShardedSupervised(
-		sc.profile.Shards, 4, sc.frames, sc.mode, sched, sc.rcfg, &tr)
+		sc.profile.Shards, 4, sc.frames, sc.mode, decision.ProgramDWCS, sched, sc.rcfg, &tr)
 	if err != nil {
 		t.Fatalf("%s: %v\n%s", sc.name, err, tr.String())
 	}
@@ -147,7 +147,7 @@ func TestChaosAllPrograms(t *testing.T) {
 						t.Fatal(err)
 					}
 					var tr fault.Trace
-					res, err := endsystem.RunShardedSupervisedProgram(
+					res, err := endsystem.RunShardedSupervised(
 						sc.profile.Shards, 4, sc.frames, sc.mode, p, sched, sc.rcfg, &tr)
 					if err != nil {
 						t.Fatalf("%s/%v: %v\n%s", sc.name, p, err, tr.String())
@@ -212,13 +212,13 @@ func TestChaosNilInjectorMatchesPlainRun(t *testing.T) {
 		{pci.ModePIO, 201},
 	} {
 		t.Run(tc.mode.String(), func(t *testing.T) {
-			plain, err := endsystem.RunSharded(shards, slots, tc.frames, tc.mode)
+			plain, err := endsystem.RunShardedOpts(shards, slots, tc.frames, endsystem.ShardedOptions{Mode: tc.mode})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var tr fault.Trace
 			supd, err := endsystem.RunShardedSupervised(
-				shards, slots, tc.frames, tc.mode, nil, shard.RecoveryConfig{}, &tr)
+				shards, slots, tc.frames, tc.mode, decision.ProgramDWCS, nil, shard.RecoveryConfig{}, &tr)
 			if err != nil {
 				t.Fatal(err)
 			}

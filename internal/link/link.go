@@ -51,9 +51,6 @@ func (l *Link) Transmit(bytes int, readyNs float64) (startNs, endNs float64, err
 	return start, l.busyUntil, nil
 }
 
-// BusyUntil returns the time the wire frees up.
-func (l *Link) BusyUntil() float64 { return l.busyUntil }
-
 // Frames returns the number of frames transmitted.
 func (l *Link) Frames() uint64 { return l.frames }
 

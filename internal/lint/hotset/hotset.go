@@ -58,10 +58,6 @@ var builtin = map[string]map[string]bool{
 	},
 }
 
-// Functions returns the built-in hot-function names for the package at
-// path (nil when the package has none).
-func Functions(path string) map[string]bool { return builtin[path] }
-
 // QualifiedName returns "Recv.Name" for methods and "Name" for functions,
 // unwrapping pointer and generic receivers.
 func QualifiedName(fd *ast.FuncDecl) string {

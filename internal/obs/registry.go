@@ -198,8 +198,8 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// WriteText renders the snapshot as an aligned text summary — the
-// `ssreport -metrics` view.
+// WriteText renders the snapshot as an aligned text summary — the view
+// `sssim -metrics` prints at exit.
 func (s Snapshot) WriteText(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "%-34s %-9s %-8s %14s %14s %14s %14s\n",
 		"metric", "kind", "unit", "value", "p50", "p99", "max"); err != nil {

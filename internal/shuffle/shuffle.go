@@ -1032,7 +1032,3 @@ func perfectShuffle(dst, src []uint16) {
 		dst[2*i+1] = src[i+n/2]
 	}
 }
-
-// UnsafeKeys reports how many latched keys currently sit outside the serial
-// safety window (diagnostics; zero in steady state).
-func (nw *Network) UnsafeKeys() int { return nw.nUnsafe }

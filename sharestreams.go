@@ -263,14 +263,6 @@ func NewShardedRouter(cfg ShardedConfig) (*ShardedRouter, error) {
 	return shard.New(cfg)
 }
 
-// RunSharded drives K evenly loaded scheduler pipelines under the §5.2
-// calibration and returns the aggregated result: one shard reproduces the
-// single-pipeline operating points, K shards report ≈K× the modeled
-// throughput (and wall-clock throughput that scales with host cores).
-func RunSharded(shards, slotsPerShard, framesPerStream int, mode TransferMode) (*ShardedResult, error) {
-	return endsystem.RunSharded(shards, slotsPerShard, framesPerStream, mode)
-}
-
 type (
 	// ShardedOptions selects the optional machinery of a sharded run: PCI
 	// metering, an observability registry, the run-to-completion shard loop,
@@ -284,9 +276,12 @@ type (
 	BufferPoolConfig = qm.SharedConfig
 )
 
-// RunShardedOpts is RunSharded with the optional machinery selectable —
-// the general driver behind RunSharded and the instrumented,
-// run-to-completion and shared-buffering configurations.
+// RunShardedOpts drives K evenly loaded scheduler pipelines under the §5.2
+// calibration and returns the aggregated result: one shard reproduces the
+// single-pipeline operating points, K shards report ≈K× the modeled
+// throughput (and wall-clock throughput that scales with host cores). opts
+// selects the optional machinery: PCI metering, instrumentation, the
+// run-to-completion shard loop and shared buffering.
 func RunShardedOpts(shards, slotsPerShard, framesPerStream int, opts ShardedOptions) (*ShardedResult, error) {
 	return endsystem.RunShardedOpts(shards, slotsPerShard, framesPerStream, opts)
 }
@@ -314,18 +309,12 @@ type (
 // seed; the same profile always yields the same schedule.
 func NewFaultSchedule(p FaultProfile) (*FaultSchedule, error) { return fault.NewSchedule(p) }
 
-// RunShardedSupervised is RunSharded under a fault schedule with the
-// self-healing supervisor. A nil schedule injects nothing (and reproduces
-// RunSharded's figures); a nil trace discards the recovery record.
-func RunShardedSupervised(shards, slotsPerShard, framesPerStream int, mode TransferMode, schedule *FaultSchedule, rcfg RecoveryConfig, trace *FaultTrace) (*SupervisedResult, error) {
-	return endsystem.RunShardedSupervised(shards, slotsPerShard, framesPerStream, mode, schedule, rcfg, trace)
-}
-
-// RunShardedSupervisedProgram is RunShardedSupervised generalized over the
-// registered rank programs: every shard's scheduler runs p and the admitted
-// streams carry p's natural spec.
-func RunShardedSupervisedProgram(shards, slotsPerShard, framesPerStream int, mode TransferMode, p RankProgram, schedule *FaultSchedule, rcfg RecoveryConfig, trace *FaultTrace) (*SupervisedResult, error) {
-	return endsystem.RunShardedSupervisedProgram(shards, slotsPerShard, framesPerStream, mode, p, schedule, rcfg, trace)
+// RunShardedSupervised is RunShardedOpts under a fault schedule with the
+// self-healing supervisor: every shard's scheduler runs rank program p and
+// the admitted streams carry p's natural spec. A nil schedule injects
+// nothing; a nil trace discards the recovery record.
+func RunShardedSupervised(shards, slotsPerShard, framesPerStream int, mode TransferMode, p RankProgram, schedule *FaultSchedule, rcfg RecoveryConfig, trace *FaultTrace) (*SupervisedResult, error) {
+	return endsystem.RunShardedSupervised(shards, slotsPerShard, framesPerStream, mode, p, schedule, rcfg, trace)
 }
 
 // Line-card realization (Figure 2): the no-host configuration for backbone
