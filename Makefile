@@ -103,19 +103,27 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 >= f+0) ? 0 : 1 }' || \
 		{ echo "FAIL: coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
-# Chaos gate: the fault-injection suite under the race detector (trace
-# determinism, frame conservation, bounded recovery, nil-injector parity
-# with the paper figures), plus the pipeline's own two: the three-driver
-# differential (threaded ≡ run-to-completion ≡ supervised-with-no-faults) and
-# the bus-giveup goroutine-leak test, so this required leg exercises both
-# drivers under -race. Then a seeded end-to-end fault sweep through ssbench.
-# The same seed replays the same fault/recovery trace — a chaos failure is
-# reproducible from its seed alone.
+# Chaos gate: the fault-injection suite under the race detector (trace and
+# result determinism, frame conservation, bounded recovery, nil-injector
+# parity with the paper figures), plus the pipeline's own two: the driver
+# differential (Run ≡ Run again ≡ supervised-with-no-faults, decisions and
+# idle cycles included) and the bus-giveup goroutine-leak test. Then two
+# seeded end-to-end fault sweeps through ssbench, each run twice: the two
+# runs' stdout must match byte for byte — every ledger column, not only the
+# recovery trace — so a chaos failure is reproducible from its seed alone.
 chaos:
 	go test -race -run 'TestChaos|TestSupervised|TestReuseAfterRestart|TestPipelineDriversAgree|TestRunPipelineMeterErrorUnblocksPipeline' \
 		./internal/fault/ ./internal/shard/ ./internal/ringbuf/
-	go run ./cmd/ssbench -shards 2 -seed 1 faults
-	go run ./cmd/ssbench -shards 3 -seed 42 faults
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	go build -o "$$dir/ssbench" ./cmd/ssbench; \
+	for args in "-shards 2 -seed 1" "-shards 3 -seed 42"; do \
+		"$$dir/ssbench" $$args faults > "$$dir/first.txt"; \
+		"$$dir/ssbench" $$args faults > "$$dir/second.txt"; \
+		cat "$$dir/first.txt"; \
+		cmp "$$dir/first.txt" "$$dir/second.txt" || \
+			{ echo "FAIL: two runs of ssbench $$args faults differ"; diff "$$dir/first.txt" "$$dir/second.txt"; exit 1; }; \
+		echo "(ssbench $$args faults: second run identical)"; \
+	done
 
 # Control-plane churn soak: SOAK_EVENTS seeded admin events through the live
 # engine, twice, requiring zero conservation violations and a byte-identical

@@ -270,6 +270,9 @@ func TestLatestCheckpoint(t *testing.T) {
 	}
 }
 
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
 // TestReplayChecksAllocateNothingPerEpoch pins that a clean replay's byte
 // identity checks build no per-epoch location string: over two journal
 // lengths, replay's extra allocations per epoch are exactly re-execution's
@@ -317,7 +320,14 @@ func TestReplayChecksAllocateNothingPerEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if extra := replay - live - parse; extra > 0.5 || extra < -0.5 {
+	extra := replay - live - parse
+	if raceEnabled {
+		// The race runtime's own allocations make the three slopes drift
+		// by about ±1 per epoch; the plain run enforces zero.
+		t.Logf("under -race, not asserted: replay %.2f/epoch = %.2f + %.2f + %.2f", replay, live, parse, extra)
+		return
+	}
+	if extra > 0.5 || extra < -0.5 {
 		t.Fatalf("replay allocates %.2f/epoch = re-execution %.2f + parsing %.2f + %.2f unexplained (want 0)",
 			replay, live, parse, extra)
 	}

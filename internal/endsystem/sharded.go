@@ -17,8 +17,8 @@ import (
 // calibration (HostCostNs per packet, TransferBatch frames per metered PCI
 // batch), filled with shards×slotsPerShard streams of spec by
 // flow-hash-balanced admission. opts carries the caller's optional machinery
-// (Mode, Program, RunToCompletion, BufferPool); the sizing and calibration
-// fields are set here.
+// (Mode, Program, BufferPool); the sizing and calibration fields are set
+// here.
 func balancedRouter(shards, slotsPerShard int, spec attr.Spec, opts shard.Config) (*shard.Router, error) {
 	opts.Shards = shards
 	opts.SlotsPerShard = slotsPerShard
@@ -37,13 +37,15 @@ func balancedRouter(shards, slotsPerShard int, spec attr.Spec, opts shard.Config
 // ShardedOptions selects the optional machinery of a sharded endsystem run:
 // PCI metering mode, an observability registry (the router publishes its
 // shard.* dispatcher and throughput metrics there; per-shard delivered
-// counters are atomic, so scraping mid-run is race-free), the
-// run-to-completion pipeline driver (shard.Config.RunToCompletion: same
-// results, higher wall throughput), and the delay-driven shared buffer pool
-// (a zero BufferPool keeps the historical fixed per-stream rings).
+// counters are atomic, so scraping mid-run is race-free), and the
+// delay-driven shared buffer pool (a zero BufferPool keeps the historical
+// fixed per-stream rings).
 type ShardedOptions struct {
-	Mode            pci.Mode
-	Registry        *obs.Registry
+	Mode     pci.Mode
+	Registry *obs.Registry
+	// RunToCompletion is kept only for source compatibility.
+	//
+	// Deprecated: every run is run-to-completion; this field has no effect.
 	RunToCompletion bool
 	BufferPool      qm.SharedConfig
 }
@@ -58,9 +60,8 @@ type ShardedOptions struct {
 func RunShardedOpts(shards, slotsPerShard, framesPerStream int, opts ShardedOptions) (*shard.Result, error) {
 	spec := attr.Spec{Class: attr.EDF, Period: uint16(slotsPerShard)}
 	router, err := balancedRouter(shards, slotsPerShard, spec, shard.Config{
-		Mode:            opts.Mode,
-		RunToCompletion: opts.RunToCompletion,
-		BufferPool:      opts.BufferPool,
+		Mode:       opts.Mode,
+		BufferPool: opts.BufferPool,
 	})
 	if err != nil {
 		return nil, err

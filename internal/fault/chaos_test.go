@@ -14,6 +14,7 @@ package fault_test
 // figure-identical to the plain sharded run.
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -74,6 +75,20 @@ var chaosScenarios = []struct {
 		rcfg:   shard.RecoveryConfig{Policy: qm.DropOldest},
 		frames: 150,
 	},
+	{
+		// The ssbench fault sweep's shape (its seed-1 level-2 mix): more
+		// frames per stream than the 1024-frame rings hold, shed under
+		// RejectNew, so the ledger columns show whether the driver offers
+		// and schedules frames in a reproducible order.
+		name: "sweep-sized shed",
+		mode: pci.ModePIO,
+		profile: fault.Profile{
+			Seed: 3, Shards: 2, ShardCrashes: 2, PCIFails: 4,
+			BankTimeouts: 2, QMSaturations: 2, Horizon: 2000,
+		},
+		rcfg:   shard.RecoveryConfig{Policy: qm.RejectNew},
+		frames: 2000,
+	},
 }
 
 func runScenario(t *testing.T, i int) (*shard.SupervisedResult, *fault.Trace) {
@@ -93,16 +108,21 @@ func runScenario(t *testing.T, i int) (*shard.SupervisedResult, *fault.Trace) {
 }
 
 // TestChaosDeterministicTrace reruns every scenario and demands the fault
-// and recovery trace be byte-identical — the replay contract that makes a
-// chaos failure debuggable from its seed alone.
+// and recovery trace be byte-identical and the whole result — ledger,
+// counters, modeled time — equal: the replay contract that makes a chaos
+// failure debuggable from its seed alone.
 func TestChaosDeterministicTrace(t *testing.T) {
 	for i, sc := range chaosScenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			_, first := runScenario(t, i)
-			_, second := runScenario(t, i)
+			res1, first := runScenario(t, i)
+			res2, second := runScenario(t, i)
 			if first.String() != second.String() {
 				t.Fatalf("seed %d trace diverged between runs:\n--- run 1 ---\n%s--- run 2 ---\n%s",
 					sc.profile.Seed, first.String(), second.String())
+			}
+			if !reflect.DeepEqual(res1, res2) {
+				t.Fatalf("seed %d result diverged between runs:\n run 1 %+v\n run 2 %+v",
+					sc.profile.Seed, *res1, *res2)
 			}
 		})
 	}

@@ -22,11 +22,10 @@ var builtin = map[string]map[string]bool{
 		"Scheduler.syncSources": true, "transmission": true, "Scheduler.observe": true,
 	},
 	"repro/internal/shuffle": {
-		"Network.run": true, "Network.runPaperLogN": true, "Network.runBitonic": true,
-		"Network.runTournament": true, "Network.emitBlock": true, "Network.compareAt": true,
+		"Network.run": true, "Network.emitBlock": true,
 		"Network.Run": true, "Network.RunAt": true, "Network.RunKeyed": true,
 		"Network.RunLoaded": true, "Network.RunLoadedLight": true,
-		"Network.SetInput": true, "Network.SetInputKey": true, "perfectShuffle": true,
+		"Network.SetInput": true, "Network.SetInputKey": true,
 		// The SoA key plane: the branch-free pass kernels, the per-key
 		// window-safety bookkeeping, and the dense-lane credit fold.
 		"Network.runPaperLogNSoA": true, "Network.runTournamentSoA": true,

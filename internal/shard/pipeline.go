@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -15,17 +14,17 @@ import (
 
 // This file is the Figure 3 pipeline, written once (see the package comment):
 // a pipeline is one shard's run state, each phase is one method — offer,
-// visitCycle, deliver, publish, schedule — and the two drivers at the bottom
-// only decide which goroutine runs which phase.
+// visitCycle, deliver, publish — and runToCompletion, the one driver, runs
+// them in batched epochs on one pinned thread.
 
 // schedulerBatchCycles is how many decision cycles a pipeline hands its
-// scheduler per core.RunCycles call; the halt flag is still observed inside
-// the visit callback (on ring backpressure) and between batches.
+// scheduler per core.RunCycles call — one epoch; the halt flag is observed
+// between epochs.
 const schedulerBatchCycles = 256
 
-// idleLimit bounds consecutive scheduler batches without a scheduled frame
-// before a pipeline declares itself wedged — a safety valve against a
-// misaccounted target, not a modeled timeout.
+// idleLimit bounds consecutive epochs without a scheduled frame before a
+// pipeline declares itself wedged — a safety valve against a misaccounted
+// target, not a modeled timeout.
 const idleLimit = 1 << 14
 
 // crashInfo describes why a shard's pipeline stopped abnormally.
@@ -55,29 +54,16 @@ type pipeline struct {
 	target     uint64   // frames owed: own streams × fps, plus work adopted from dead siblings
 	meterBatch func(int) error
 
-	// inline is set by the run-to-completion driver: the scheduling thread
-	// owns every phase, so it tops up and drains around each batch and
-	// consumes in place on a full tx ring instead of yielding to the other
-	// goroutines.
-	inline bool
-	// halt stops every phase. The threaded driver raises it when its
-	// scheduler loop exits; Run raises it on every pipeline when one fails.
+	// halt stops the driver between epochs: Run raises it on every
+	// pipeline when one fails.
 	halt atomic.Bool
 
-	// Everything above is read-mostly while a driver runs. The counters
-	// below are written per frame, the first group by the scheduler phase
-	// and the second by the transmission engine; under the threaded driver
-	// those are different goroutines, so each group gets its own cache line
-	// (sharing one measured ≈12 % slower on two cores).
-	_          [64]byte
 	scheduled  uint64
 	sinceBatch uint64     // frames scheduled since the last metered PCI batch
 	crash      *crashInfo // a recoverable stop: the supervisor restarts, Run reports it
 	err        error      // a non-recoverable failure raised inside visit
-	_          [64]byte
-	delivered  uint64 //sslint:ledger
-	published  uint64 // deliveries already flushed to the obs counter and the bandwidth meter
-	_          [64]byte
+	delivered  uint64     //sslint:ledger
+	published  uint64     // deliveries already flushed to the obs counter and the bandwidth meter
 }
 
 // owed is the work not yet scheduled: the target minus what has been handed
@@ -144,16 +130,14 @@ func (p *pipeline) publish() {
 }
 
 // visitCycle consumes one decision cycle: charge a re-aggregated slot's
-// aggregator, push the scheduled ID to the tx ring, count it toward the next
-// metered PCI batch, and check the planned crash. Every TransferBatch
-// frames it drives the shard's bus model — a push of arrival-time words in,
-// a read of stream-ID words back — so transfer time is metered from bank
-// switches and word counts, not assumed.
+// aggregator, push the scheduled ID to the tx ring (delivering in place when
+// it is full — this thread owns both ends), count it toward the next metered
+// PCI batch, and check the planned crash. Every TransferBatch frames it
+// drives the shard's bus model — a push of arrival-time words in, a read of
+// stream-ID words back — so transfer time is metered from bank switches and
+// word counts, not assumed.
 func (p *pipeline) visitCycle(cr *core.CycleResult) bool {
 	if cr.Idle {
-		if !p.inline {
-			runtime.Gosched() // producer momentarily behind
-		}
 		return true
 	}
 	cfg, s := p.cfg, p.s
@@ -167,14 +151,7 @@ func (p *pipeline) visitCycle(cr *core.CycleResult) bool {
 			}
 		}
 		for !s.txRing.Push(tx) {
-			if p.inline {
-				p.deliver() // tx ring full: this thread owns both ends, consume in place
-				continue
-			}
-			if p.halt.Load() {
-				return false
-			}
-			runtime.Gosched() // tx ring full: engine backpressure
+			p.deliver()
 		}
 		p.scheduled++
 		p.sinceBatch++
@@ -194,22 +171,27 @@ func (p *pipeline) visitCycle(cr *core.CycleResult) bool {
 	return p.owed() > 0
 }
 
-// schedule is the scheduler loop: decision batches until everything owed is
-// scheduled, a crash stops the pipeline (p.crash), the pipeline is halted, or
-// a non-recoverable error is returned. Idle cycles occur when the producer is momentarily
-// behind and cost nothing in the model (the hardware spins while the host
-// catches up). Inline, each batch is one epoch — top up every stream ring,
-// schedule, drain the tx ring, publish the epoch's deliveries in one flush.
-func (p *pipeline) schedule() error {
+// runToCompletion is the pipeline's driver: the calling goroutine pins its
+// OS thread and runs every phase itself in batched epochs — top up every
+// stream ring, run a batch of decision cycles, drain the tx ring, publish
+// the epoch's deliveries in one flush — until everything owed is scheduled,
+// a crash stops the pipeline (p.crash), Run halts it, or a non-recoverable
+// error is returned. Ring contracts stay SPSC: one producer, one consumer,
+// in alternating phases on one thread. Idle cycles occur when an epoch's
+// top-up runs dry and cost nothing in the model (the hardware spins while
+// the host catches up). The tx ring is empty on every return but an error,
+// so delivered == scheduled between supervision rounds, and offering
+// resumes from p.produced, so a restarted pipeline re-offers nothing.
+func (p *pipeline) runToCompletion() error {
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
 	visit := p.visitCycle // bound once: a method value allocates
 	for idle := 0; p.crash == nil && p.owed() > 0; {
 		if p.halt.Load() {
 			return nil // a sibling failed; it reports why
 		}
-		if p.inline {
-			for slot := range p.produced {
-				for p.produced[slot] < p.fps && p.offer(slot) {
-				}
+		for slot := range p.produced {
+			for p.produced[slot] < p.fps && p.offer(slot) {
 			}
 		}
 		before := p.scheduled
@@ -217,11 +199,9 @@ func (p *pipeline) schedule() error {
 		if p.err != nil {
 			return p.err
 		}
-		if p.inline {
-			for p.deliver() {
-			}
-			p.publish()
+		for p.deliver() {
 		}
+		p.publish()
 		if p.scheduled != before {
 			idle = 0
 		} else if idle++; idle > idleLimit {
@@ -248,67 +228,4 @@ func (p *pipeline) flushTail() error {
 // its own bus.
 func (p *pipeline) virtualNs() float64 {
 	return float64(p.delivered)*p.cfg.HostNs + p.s.bus.BusyNs
-}
-
-// runThreaded is the three-goroutine driver: a producer filling the Queue
-// Manager's per-stream rings (one per shard, so they stay SPSC), the
-// scheduler loop on the calling goroutine, and a transmission engine
-// draining the tx ring and publishing per frame — all over
-// synchronization-free SPSC rings, no locks. When the scheduler loop exits,
-// for whatever reason, it halts the other two; the engine takes the tx-ring
-// residue on its way out, so delivered == scheduled when runThreaded
-// returns. The producer resumes from p.produced, so a restarted pipeline
-// re-offers nothing.
-func (p *pipeline) runThreaded() error {
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for k := uint64(0); k < p.fps; k++ {
-			for slot := range p.produced {
-				for p.produced[slot] <= k { // false at once for a frame an earlier round disposed of
-					if p.halt.Load() {
-						return
-					}
-					if !p.offer(slot) {
-						runtime.Gosched() // ring full: wait for the scheduler
-					}
-				}
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for {
-			// Read halt before the pop: the scheduler stops pushing before
-			// it halts, so a miss after that is an empty ring for good.
-			halted := p.halt.Load()
-			if p.deliver() {
-				p.publish()
-				continue
-			}
-			if halted {
-				return
-			}
-			runtime.Gosched()
-		}
-	}()
-	err := p.schedule()
-	p.halt.Store(true)
-	wg.Wait()
-	return err
-}
-
-// runToCompletion is the one-thread driver: the calling goroutine pins its
-// OS thread and runs every phase itself in batched epochs (see schedule),
-// publishing once per epoch instead of once per frame. Ring contracts stay
-// SPSC — one producer, one consumer, in alternating phases on one thread —
-// and modeled time, per-slot accounting and PCI metering are the threaded
-// driver's; what changes is that the simulation stops paying cross-goroutine
-// handoffs and per-frame atomics.
-func (p *pipeline) runToCompletion() error {
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
-	p.inline = true
-	return p.schedule()
 }

@@ -11,13 +11,12 @@ import (
 // pooledRouter builds a router whose shards run the delay-driven shared
 // buffer pool with a deliberately tiny reservation, so any sustained burst
 // must borrow from the pool.
-func pooledRouter(t *testing.T, shards, slotsPerShard int, pool qm.SharedConfig, rtc bool) *Router {
+func pooledRouter(t *testing.T, shards, slotsPerShard int, pool qm.SharedConfig) *Router {
 	t.Helper()
 	return mustRouter(t, Config{
-		Shards:          shards,
-		SlotsPerShard:   slotsPerShard,
-		BufferPool:      pool,
-		RunToCompletion: rtc,
+		Shards:        shards,
+		SlotsPerShard: slotsPerShard,
+		BufferPool:    pool,
 	})
 }
 
@@ -77,47 +76,42 @@ func poolQuiescent(t *testing.T, r *Router) uint64 {
 	return borrows
 }
 
-// The satellite chaos scenario: weighted hot/cold shard bursts with the
+// The hot/cold chaos scenario: weighted hot/cold shard bursts with the
 // shared pool lending capacity — every frame conserved, every credit
-// returned, in both the classic three-goroutine loop and run-to-completion.
+// returned.
 func TestPooledHotColdBurstConservation(t *testing.T) {
 	const perStream = 400
-	pool := qm.SharedConfig{Reservation: 1, Burst: 64, DelayTarget: 64}
-	for _, tc := range []struct {
-		name string
-		rtc  bool
-	}{{"classic", false}, {"run-to-completion", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			r := pooledRouter(t, 2, 8, pool, tc.rtc)
-			streams := admitHotCold(t, r, 8, 2)
-			res, err := r.Run(perStream)
-			if err != nil {
-				t.Fatalf("Run: %v", err)
+	// Every run is run-to-completion; the subtest keeps the scenario's name.
+	t.Run("run-to-completion", func(t *testing.T) {
+		r := pooledRouter(t, 2, 8, qm.SharedConfig{Reservation: 1, Burst: 64, DelayTarget: 64})
+		streams := admitHotCold(t, r, 8, 2)
+		res, err := r.Run(perStream)
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		want := uint64(streams * perStream)
+		if res.Frames != want {
+			t.Fatalf("delivered %d frames, want %d", res.Frames, want)
+		}
+		for _, sr := range res.PerShard {
+			if sr.QM.Submitted != sr.Frames || sr.QM.Dequeued != sr.Frames {
+				t.Fatalf("shard %d QM accounting %+v for %d frames", sr.Shard, sr.QM, sr.Frames)
 			}
-			want := uint64(streams * perStream)
-			if res.Frames != want {
-				t.Fatalf("delivered %d frames, want %d", res.Frames, want)
+			if sr.QM.Dropped != 0 {
+				t.Fatalf("shard %d dropped %d under backpressure", sr.Shard, sr.QM.Dropped)
 			}
-			for _, sr := range res.PerShard {
-				if sr.QM.Submitted != sr.Frames || sr.QM.Dequeued != sr.Frames {
-					t.Fatalf("shard %d QM accounting %+v for %d frames", sr.Shard, sr.QM, sr.Frames)
-				}
-				if sr.QM.Dropped != 0 {
-					t.Fatalf("shard %d dropped %d under backpressure", sr.Shard, sr.QM.Dropped)
-				}
-			}
-			if borrows := poolQuiescent(t, r); borrows == 0 {
-				t.Fatal("hot/cold burst run never lent a credit — the pool was not exercised")
-			}
-		})
-	}
+		}
+		if borrows := poolQuiescent(t, r); borrows == 0 {
+			t.Fatal("hot/cold burst run never lent a credit — the pool was not exercised")
+		}
+	})
 }
 
 // The pool's lending ledger and delay histogram surface through the router
 // metrics, and an instrumented pooled run stays conserved.
 func TestPooledRunMetrics(t *testing.T) {
 	const perStream = 200
-	r := pooledRouter(t, 2, 4, qm.SharedConfig{Reservation: 1, Burst: 32, DelayTarget: 64}, true)
+	r := pooledRouter(t, 2, 4, qm.SharedConfig{Reservation: 1, Burst: 32, DelayTarget: 64})
 	if _, err := r.AdmitBalanced(8, edfSpec(4)); err != nil {
 		t.Fatalf("AdmitBalanced: %v", err)
 	}
@@ -157,7 +151,7 @@ func TestPooledSupervisedChaosConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := pooledRouter(t, 2, 4, qm.SharedConfig{Reservation: 1, Burst: 32, DelayTarget: 64}, false)
+	r := pooledRouter(t, 2, 4, qm.SharedConfig{Reservation: 1, Burst: 32, DelayTarget: 64})
 	if _, err := r.AdmitBalanced(8, edfSpec(4)); err != nil {
 		t.Fatalf("AdmitBalanced: %v", err)
 	}

@@ -14,10 +14,11 @@
 // into one endsystem view.
 //
 // The Figure 3 pipeline itself — produce → schedule → PCI-batch → transmit —
-// is written once (pipeline.go) with two drivers, three goroutines or one
-// pinned thread. Run is one pipeline per shard; RunSupervised (supervisor.go)
-// is rounds of the same pipelines under a fault schedule; live mode (live.go)
-// hands the bare schedule phase to a control plane.
+// is written once (pipeline.go) with one driver: a pinned thread per shard
+// runs every phase in batched epochs, so a run's modeled results and ledgers
+// are the same from run to run. Run is one pipeline per shard; RunSupervised
+// (supervisor.go) is rounds of the same pipelines under a fault schedule;
+// live mode (live.go) hands the bare scheduler to a control plane.
 //
 // # Modeled time
 //
@@ -91,12 +92,9 @@ type Config struct {
 	// full Table-2 datapath — the historical behavior. Admitted specs must
 	// still be legal under the derived mode (core.Admit enforces this).
 	Program decision.Program
-	// RunToCompletion selects Run's pipeline driver: instead of three
-	// goroutines per shard handing frames across spin-waited SPSC rings, one
-	// pinned thread per shard runs every phase in batched epochs (see
-	// pipeline.runToCompletion). Modeled results are the same; wall
-	// throughput is what changes. RunSupervised ignores the flag: its rounds
-	// always run the threaded driver.
+	// RunToCompletion is kept only for source compatibility.
+	//
+	// Deprecated: every run is run-to-completion; this field has no effect.
 	RunToCompletion bool
 	// BufferPool, when its Reservation is non-zero, replaces each shard's
 	// fixed per-stream rings (RingCapacity) with the Queue Manager's
@@ -458,10 +456,9 @@ func (r *Router) begin(framesPerStream int, schedule *fault.Schedule) ([]*pipeli
 }
 
 // Run pushes framesPerStream frames through every admitted stream: each
-// shard concurrently runs the full Figure 3 pipeline (pipeline.go) — the
-// three-goroutine driver, or the run-to-completion one under
-// Config.RunToCompletion — with no fault plan and a bandwidth meter
-// attached, then the per-shard results are merged. There is no supervisor
+// shard concurrently runs the full Figure 3 pipeline (pipeline.go) on its
+// own pinned thread, with no fault plan and a bandwidth meter attached,
+// then the per-shard results are merged. There is no supervisor
 // here: a pipeline that crashes (a PCI transfer giving up) fails the run and
 // aborts its siblings. Run may be called once per Router.
 func (r *Router) Run(framesPerStream int) (*Result, error) {
@@ -481,11 +478,7 @@ func (r *Router) Run(framesPerStream int) (*Result, error) {
 	}
 	windowNs := float64(maxStreams*framesPerStream) * r.cfg.HostNs / float64(r.cfg.MeterWindows)
 
-	drive := (*pipeline).runThreaded
-	if r.cfg.RunToCompletion {
-		drive = (*pipeline).runToCompletion
-	}
-	// A failure in any shard halts every phase of every shard.
+	// A failure in any shard halts every other shard at its next epoch.
 	abort := func() {
 		for _, p := range pipes {
 			p.halt.Store(true)
@@ -505,7 +498,7 @@ func (r *Router) Run(framesPerStream int) (*Result, error) {
 		wg.Add(1)
 		go func(k int, p *pipeline) {
 			defer wg.Done()
-			err := drive(p)
+			err := p.runToCompletion()
 			switch {
 			case err != nil:
 			case p.crash != nil:

@@ -151,18 +151,17 @@ func (r *Router) runSupervised(framesPerStream int, schedule *fault.Schedule, rc
 			return nil, nil, fmt.Errorf("shard: recovery did not converge in %d rounds", maxRounds)
 		}
 
-		// One threaded pipeline segment per live shard, to completion or
-		// crash. runThreaded drains the tx-ring residue a crash strands, so
+		// One pipeline segment per live shard, to completion or crash.
+		// runToCompletion drains the tx-ring residue a crash strands, so
 		// delivered equals scheduled at every barrier (conservation
 		// bookkeeping is exact between rounds).
 		var wg sync.WaitGroup
 		errs := make([]error, len(active))
 		for i, u := range active {
-			u.halt.Store(false)
 			wg.Add(1)
 			go func(i int, u *supShard) {
 				defer wg.Done()
-				if err := u.runThreaded(); err != nil {
+				if err := u.runToCompletion(); err != nil {
 					errs[i] = fmt.Errorf("shard %d: %w", u.s.index, err)
 				}
 			}(i, u)

@@ -273,25 +273,23 @@ func TestSupervisedAllShardsDead(t *testing.T) {
 
 // TestSupervisedErrorIsNotCanceled: with no supervisor, one shard's bus
 // giving up fails the run, and the sibling Run halts stops quietly — the
-// error names the failed shard alone, under both drivers.
+// error names the failed shard alone.
 func TestSupervisedErrorIsNotCanceled(t *testing.T) {
 	const frames = 100_000 // far more than shard 0 can deliver before shard 1 fails
-	for _, rtc := range []bool{false, true} {
-		r := mustRouter(t, Config{Shards: 2, SlotsPerShard: 4, Mode: pci.ModePIO, RunToCompletion: rtc})
-		if _, err := r.AdmitBalanced(8, edfSpec(4)); err != nil {
-			t.Fatal(err)
-		}
-		r.Bus(1).Injector = giveupInjector{at: 4}
-		_, err := r.Run(frames)
-		if err == nil || !strings.Contains(err.Error(), "shard 1") {
-			t.Fatalf("rtc=%v: error = %v, want shard 1's bus giving up", rtc, err)
-		}
-		if strings.Contains(err.Error(), "shard 0") || strings.Contains(err.Error(), "canceled") {
-			t.Fatalf("rtc=%v: the halted sibling must add nothing: %v", rtc, err)
-		}
-		if got := r.shards[0].sched.Totals().Services; got >= 4*frames {
-			t.Fatalf("rtc=%v: shard 0 ran all %d frames out instead of halting", rtc, got)
-		}
+	r := mustRouter(t, Config{Shards: 2, SlotsPerShard: 4, Mode: pci.ModePIO})
+	if _, err := r.AdmitBalanced(8, edfSpec(4)); err != nil {
+		t.Fatal(err)
+	}
+	r.Bus(1).Injector = giveupInjector{at: 4}
+	_, err := r.Run(frames)
+	if err == nil || !strings.Contains(err.Error(), "shard 1") {
+		t.Fatalf("error = %v, want shard 1's bus giving up", err)
+	}
+	if strings.Contains(err.Error(), "shard 0") || strings.Contains(err.Error(), "canceled") {
+		t.Fatalf("the halted sibling must add nothing: %v", err)
+	}
+	if got := r.shards[0].sched.Totals().Services; got >= 4*frames {
+		t.Fatalf("shard 0 ran all %d frames out instead of halting", got)
 	}
 }
 

@@ -194,13 +194,6 @@ type Network struct {
 
 	block []attr.Attributes
 
-	// Reference (oracle) machinery: the pre-key-plane index-permutation
-	// implementation, kept verbatim as the differential-test oracle. The
-	// oracle flag routes run() through it; compareAt is its per-pair body.
-	oracle      bool
-	idx, idxTmp []uint16
-	ident       []uint16
-
 	// Cycles counts decision cycles run; TotalPasses the cumulative
 	// SCHEDULE-state clock cycles.
 	Cycles      uint64
@@ -235,16 +228,10 @@ func New(n int, mode decision.Mode, schedule Schedule) (*Network, error) {
 		accEDF:    make([]uint64, n/2),
 		accFCFS:   make([]uint64, n/2),
 		block:     make([]attr.Attributes, n),
-		idx:       make([]uint16, n),
-		idxTmp:    make([]uint16, n),
-		ident:     make([]uint16, n),
 	}
 	nw.dCenter, nw.aCenter = 0x8000, 0x8000
 	for i := range nw.blocks {
 		nw.blocks[i].Mode = mode
-	}
-	for i := range nw.ident {
-		nw.ident[i] = uint16(i)
 	}
 	// Empty latches are invalid slots with the latch position as slot ID —
 	// the same state SetInput would install for a zero word.
@@ -523,9 +510,6 @@ func (nw *Network) RunLoaded() Result { return nw.run() }
 // that consume the order positionally (BlockSlotAt) skip that gather. The
 // counters, Cycles and TotalPasses advance exactly as under RunLoaded.
 func (nw *Network) RunLoadedLight() Light {
-	if nw.oracle {
-		return nw.lightFromReference()
-	}
 	nw.Cycles++
 	var lt Light
 	switch nw.schedule {
@@ -571,16 +555,11 @@ func (nw *Network) lightFromFiles() Light {
 // fixed number of passes per cycle).
 func (nw *Network) lastPasses() int { return nw.PassesPerCycle() }
 
-// run executes the configured pass schedule over the latched registers.
-// Under the oracle flag it routes through the reference index-permutation
-// implementation instead (identical results and counters, by the
-// differential tests — the reference is the spec, the key plane the
-// implementation).
+// run executes the configured pass schedule over the latched registers. The
+// per-pair reference implementation the differential tests hold it to lives
+// in the package's tests (keyplane_diff_test.go).
 func (nw *Network) run() Result {
 	nw.Cycles++
-	if nw.oracle {
-		return nw.runReference()
-	}
 	var r Result
 	switch nw.schedule {
 	case Tournament:
@@ -874,161 +853,4 @@ func (nw *Network) runBitonicSoA() int {
 	}
 	nw.finKeys, nw.finAux = dk, da
 	return passes
-}
-
-// --- Reference (oracle) implementation -----------------------------------
-//
-// The pre-key-plane implementation, kept verbatim: the steering muxes
-// permute a 16-bit index file over the latched inputs and every pair pays a
-// per-pair comparator call. The differential and fuzz tests drive it against
-// the key plane and require bit-identical winners, block orders and counter
-// totals; it is not on any production path.
-
-// compareAt orders latch x against latch y on Decision block b —
-// CompareKeyed's body with the network's registers already in scope; the
-// counter semantics are identical. This is the oracle's per-pair comparator
-// (the key-plane pass loops replace it with branch-free compare-exchanges);
-// it stays per-pair so tests can pin the equivalence one compare at a time.
-func (nw *Network) compareAt(b int, x, y uint16) (xFirst bool) {
-	bl := &nw.blocks[b]
-	if first, decided := decision.FastOrder(bl.Mode, nw.latchKeys[x], nw.latchKeys[y]); decided {
-		bl.Compares++
-		return first
-	}
-	if decision.KeyTie(bl.Mode, nw.latchKeys[x], nw.latchKeys[y]) {
-		bl.Compares++
-		bl.TieHits++
-		return nw.words[x].Slot < nw.words[y].Slot
-	}
-	return !bl.Compare(nw.words[x], nw.words[y]).Swapped
-}
-
-// runReference dispatches one decision cycle through the oracle.
-func (nw *Network) runReference() Result {
-	copy(nw.idx, nw.ident)
-	var r Result
-	switch nw.schedule {
-	case Tournament:
-		r = nw.runTournamentRef()
-	case Bitonic:
-		r = nw.runBitonicRef()
-	default:
-		r = nw.runPaperLogNRef()
-	}
-	nw.TotalPasses += uint64(r.Passes)
-	return r
-}
-
-// lightFromReference runs the oracle and derives the Light view, mirroring
-// the permuted register files so BlockSlotAt works identically.
-func (nw *Network) lightFromReference() Light {
-	nw.Cycles++
-	r := nw.runReference()
-	for i, x := range nw.idx {
-		nw.keys[i] = nw.latchKeys[x]
-		nw.aux[i] = nw.auxInit[x]
-	}
-	nw.finKeys, nw.finAux = nw.keys, nw.aux
-	if nw.schedule == Tournament {
-		return Light{WinnerSlot: r.Winner.Slot, Idle: !r.Winner.Valid, Passes: r.Passes}
-	}
-	valid := nw.n
-	for valid > 0 && !r.Block[valid-1].Valid {
-		valid--
-	}
-	lt := Light{Valid: valid, Idle: valid == 0, Passes: r.Passes}
-	if valid > 0 {
-		lt.WinnerSlot = r.Block[0].Slot
-	}
-	return lt
-}
-
-// emitBlockRef applies the oracle's final index permutation to the latched
-// words, filling the same reused buffer Result.Block aliases.
-func (nw *Network) emitBlockRef() []attr.Attributes {
-	for i, x := range nw.idx {
-		nw.block[i] = nw.words[x]
-	}
-	return nw.block
-}
-
-// runPaperLogNRef executes log₂N shuffle-exchange passes routing winners and
-// losers: each pass applies the perfect shuffle, then each Decision block
-// compare-exchanges its pair (winner to the even output).
-func (nw *Network) runPaperLogNRef() Result {
-	idx, tmp := nw.idx, nw.idxTmp
-	k := bits.TrailingZeros(uint(nw.n))
-	for p := 0; p < k; p++ {
-		perfectShuffle(tmp, idx)
-		for b := 0; b < nw.n/2; b++ {
-			x, y := tmp[2*b], tmp[2*b+1]
-			if !nw.compareAt(b, x, y) {
-				x, y = y, x
-			}
-			idx[2*b], idx[2*b+1] = x, y
-		}
-	}
-	block := nw.emitBlockRef()
-	return Result{Winner: block[0], Block: block, Passes: k}
-}
-
-// runBitonicRef executes the Batcher bitonic schedule per pair on the index
-// file: for each (k, j) stage element i pairs with i^j and the block
-// compare-exchanges in the direction given by bit k of i.
-func (nw *Network) runBitonicRef() Result {
-	idx := nw.idx
-	passes := 0
-	for k := 2; k <= nw.n; k <<= 1 {
-		for j := k >> 1; j > 0; j >>= 1 {
-			b := 0
-			for i := 0; i < nw.n; i++ {
-				l := i ^ j
-				if l <= i {
-					continue
-				}
-				x, y := idx[i], idx[l]
-				first := nw.compareAt(b, x, y)
-				b++
-				if first != (i&k == 0) { // winner to the ascending end
-					x, y = y, x
-				}
-				idx[i], idx[l] = x, y
-			}
-			passes++
-		}
-	}
-	block := nw.emitBlockRef()
-	return Result{Winner: block[0], Block: block, Passes: passes}
-}
-
-// runTournamentRef executes the WR max-finding schedule per pair: each pass
-// compares the surviving candidates and routes only winners onward.
-func (nw *Network) runTournamentRef() Result {
-	idx := nw.idx
-	passes := 0
-	for m := nw.n; m > 1; m /= 2 {
-		for b := 0; b < m/2; b++ {
-			x, y := idx[2*b], idx[2*b+1]
-			if nw.compareAt(b, x, y) {
-				idx[b] = x
-			} else {
-				idx[b] = y
-			}
-		}
-		passes++
-	}
-	return Result{Winner: nw.words[idx[0]], Passes: passes}
-}
-
-// perfectShuffle writes the perfect shuffle of src into dst:
-// dst[2i] = src[i], dst[2i+1] = src[i + N/2]. This is the fixed wiring
-// between recirculation register outputs and Decision-block inputs; the
-// key-plane pass loops fuse it into their compare loops, the oracle applies
-// it explicitly.
-func perfectShuffle(dst, src []uint16) {
-	n := len(src)
-	for i := 0; i < n/2; i++ {
-		dst[2*i] = src[i]
-		dst[2*i+1] = src[i+n/2]
-	}
 }

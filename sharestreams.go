@@ -265,8 +265,9 @@ func NewShardedRouter(cfg ShardedConfig) (*ShardedRouter, error) {
 
 type (
 	// ShardedOptions selects the optional machinery of a sharded run: PCI
-	// metering, an observability registry, the run-to-completion shard loop,
-	// and the delay-driven shared buffer pool (DESIGN.md §9).
+	// metering, an observability registry and the delay-driven shared
+	// buffer pool (DESIGN.md §9). Its RunToCompletion field is deprecated
+	// and has no effect: every shard runs on one pinned thread.
 	ShardedOptions = endsystem.ShardedOptions
 	// BufferPoolConfig sizes the Queue Manager's shared buffering: a
 	// guaranteed per-stream reservation plus a burst pool lent frame by
@@ -280,8 +281,8 @@ type (
 // calibration and returns the aggregated result: one shard reproduces the
 // single-pipeline operating points, K shards report ≈K× the modeled
 // throughput (and wall-clock throughput that scales with host cores). opts
-// selects the optional machinery: PCI metering, instrumentation, the
-// run-to-completion shard loop and shared buffering.
+// selects the optional machinery: PCI metering, instrumentation and shared
+// buffering.
 func RunShardedOpts(shards, slotsPerShard, framesPerStream int, opts ShardedOptions) (*ShardedResult, error) {
 	return endsystem.RunShardedOpts(shards, slotsPerShard, framesPerStream, opts)
 }
