@@ -107,23 +107,16 @@ cover:
 # result determinism, frame conservation, bounded recovery, nil-injector
 # parity with the paper figures), plus the pipeline's own two: the driver
 # differential (Run ≡ Run again ≡ supervised-with-no-faults, decisions and
-# idle cycles included) and the bus-giveup goroutine-leak test. Then two
-# seeded end-to-end fault sweeps through ssbench, each run twice: the two
-# runs' stdout must match byte for byte — every ledger column, not only the
-# recovery trace — so a chaos failure is reproducible from its seed alone.
+# idle cycles included) and the bus-giveup goroutine-leak test. Then the
+# ssbench golden test, which includes two seeded end-to-end fault sweeps
+# (-shards 2 -seed 1 and -shards 3 -seed 42): each sweep's stdout must match
+# the checked-in bytes in cmd/ssbench/testdata/golden — every ledger column,
+# not only the recovery trace — so a chaos failure is reproducible from its
+# seed alone.
 chaos:
 	go test -race -run 'TestChaos|TestSupervised|TestReuseAfterRestart|TestPipelineDriversAgree|TestRunPipelineMeterErrorUnblocksPipeline' \
 		./internal/fault/ ./internal/shard/ ./internal/ringbuf/
-	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	go build -o "$$dir/ssbench" ./cmd/ssbench; \
-	for args in "-shards 2 -seed 1" "-shards 3 -seed 42"; do \
-		"$$dir/ssbench" $$args faults > "$$dir/first.txt"; \
-		"$$dir/ssbench" $$args faults > "$$dir/second.txt"; \
-		cat "$$dir/first.txt"; \
-		cmp "$$dir/first.txt" "$$dir/second.txt" || \
-			{ echo "FAIL: two runs of ssbench $$args faults differ"; diff "$$dir/first.txt" "$$dir/second.txt"; exit 1; }; \
-		echo "(ssbench $$args faults: second run identical)"; \
-	done
+	go test -run Golden ./cmd/ssbench/
 
 # Control-plane churn soak: SOAK_EVENTS seeded admin events through the live
 # engine, twice, requiring zero conservation violations and a byte-identical

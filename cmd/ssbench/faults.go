@@ -12,6 +12,13 @@ import (
 	"repro/internal/stats"
 )
 
+// faultFramesPerStream sizes both fault sweeps to shard.Config's default
+// per-stream RingCapacity (1024). Under RejectNew the pipeline sheds
+// whatever a top-up offers past a full ring, so a larger count would drop
+// frames at level 0, where nothing is injected, and the dropped column
+// would measure the ring size instead of the faults.
+const faultFramesPerStream = 1024
+
 // faults sweeps fault intensity over the supervised sharded endsystem: at
 // each level the deterministic schedule injects proportionally more PCI
 // failures, bank-switch timeouts, pipeline crashes and QM saturation
@@ -25,7 +32,7 @@ func faults(csvPath string, shards int, seed int64) error {
 	}
 	const (
 		slotsPerShard   = 4
-		framesPerStream = 2000
+		framesPerStream = faultFramesPerStream
 		levels          = 5
 	)
 	fmt.Printf("Fault-injection sweep — %d shards × %d streams, %d frames/stream, seed %d, RejectNew overload policy\n",
@@ -95,7 +102,7 @@ func faults(csvPath string, shards int, seed int64) error {
 func faultsPerProgram(shards int, seed int64) error {
 	const (
 		slotsPerShard   = 4
-		framesPerStream = 2000
+		framesPerStream = faultFramesPerStream
 	)
 	profile := fault.Profile{
 		Seed:          seed + 2,

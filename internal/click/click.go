@@ -286,15 +286,3 @@ func NewRouter(flowsQueues int, useSFQ bool) (*Router, error) {
 	}
 	return &Router{In: cls, Out: out, queues: queues}, nil
 }
-
-// Drops returns the graph's total queue drops.
-func (r *Router) Drops() uint64 {
-	if r.sfq != nil {
-		return r.sfq.Drops
-	}
-	var d uint64
-	for _, q := range r.queues {
-		d += q.Drops
-	}
-	return d
-}

@@ -123,7 +123,7 @@ func (s *Scheduler) runWinnerOnly(now uint64, res shuffle.Result, cr *CycleResul
 	// missed-deadline counter — per decision cycle, the paper's Table 3
 	// accounting — and, for window-constrained streams, is dropped.
 	for _, b := range s.slots {
-		if b.Slot() == w.Slot {
+		if b.Out().Slot == w.Slot {
 			continue
 		}
 		if b.ExpireCheck(now + 1) {

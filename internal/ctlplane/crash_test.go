@@ -2,6 +2,7 @@ package ctlplane
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/fault"
@@ -54,7 +55,7 @@ func TestCrashWriterEndToEnd(t *testing.T) {
 	if _, err := Soak(crashed); err != nil {
 		t.Fatal(err) // the engine survives sink death; only the copy is lost
 	}
-	if !cw.Crashed() {
+	if _, err := cw.Write(nil); !errors.Is(err, fault.ErrCrash) {
 		t.Fatal("budget never spent")
 	}
 	if int64(torn.Len()) != cw.Budget {

@@ -134,12 +134,6 @@ func (bl *Block) Compare(a, b attr.Attributes) Verdict {
 	return v
 }
 
-// Compare is the stateless form of (*Block).Compare, for callers that do not
-// need counters (property tests, reference models).
-func Compare(mode Mode, a, b attr.Attributes) Verdict {
-	return compare(mode, a, b)
-}
-
 // CompareKeyed orders a against b using their packed rank keys: one
 // unsigned integer compare when FastOrder can prove the order, a slot-ID
 // tie-break when the masked keys are exactly equal (KeyTie — every cascade

@@ -21,12 +21,12 @@ func at(deadline uint16, num, den uint8, arrival uint16, slot attr.SlotID) attr.
 func TestRule1EarliestDeadlineFirst(t *testing.T) {
 	a := at(10, 1, 2, 0, 0)
 	b := at(11, 0, 9, 0, 1)
-	v := Compare(DWCS, a, b)
+	v := compare(DWCS, a, b)
 	if v.Winner.Slot != 0 || v.Rule != RuleEDF {
 		t.Fatalf("winner=%d rule=%v, want slot 0 via edf", v.Winner.Slot, v.Rule)
 	}
 	// Deadline dominates everything else, including a "better" constraint.
-	v = Compare(DWCS, b, a)
+	v = compare(DWCS, b, a)
 	if v.Winner.Slot != 0 || !v.Swapped {
 		t.Fatalf("winner=%d swapped=%v, want slot 0 swapped", v.Winner.Slot, v.Swapped)
 	}
@@ -36,7 +36,7 @@ func TestRule1WrapAwareDeadline(t *testing.T) {
 	// 0xFFFE is earlier than 0x0002 across the wrap.
 	a := at(0xFFFE, 0, 0, 0, 0)
 	b := at(0x0002, 0, 0, 0, 1)
-	if v := Compare(DWCS, a, b); v.Winner.Slot != 0 {
+	if v := compare(DWCS, a, b); v.Winner.Slot != 0 {
 		t.Fatalf("wrap-aware EDF picked slot %d, want 0", v.Winner.Slot)
 	}
 }
@@ -44,7 +44,7 @@ func TestRule1WrapAwareDeadline(t *testing.T) {
 func TestRule2LowestConstraintFirst(t *testing.T) {
 	a := at(5, 1, 4, 9, 0) // W = 0.25
 	b := at(5, 1, 2, 0, 1) // W = 0.5
-	v := Compare(DWCS, a, b)
+	v := compare(DWCS, a, b)
 	if v.Winner.Slot != 0 || v.Rule != RuleLowestConstraint {
 		t.Fatalf("winner=%d rule=%v, want slot 0 via lowest-constraint", v.Winner.Slot, v.Rule)
 	}
@@ -53,7 +53,7 @@ func TestRule2LowestConstraintFirst(t *testing.T) {
 func TestRule3ZeroConstraintsHighestDenominator(t *testing.T) {
 	a := at(5, 0, 3, 0, 0)
 	b := at(5, 0, 9, 1, 1)
-	v := Compare(DWCS, a, b)
+	v := compare(DWCS, a, b)
 	if v.Winner.Slot != 1 || v.Rule != RuleHighestDenominator {
 		t.Fatalf("winner=%d rule=%v, want slot 1 via highest-denominator", v.Winner.Slot, v.Rule)
 	}
@@ -62,7 +62,7 @@ func TestRule3ZeroConstraintsHighestDenominator(t *testing.T) {
 func TestRule4EqualNonZeroLowestNumerator(t *testing.T) {
 	a := at(5, 2, 4, 9, 0) // W = 0.5
 	b := at(5, 1, 2, 0, 1) // W = 0.5, lower numerator
-	v := Compare(DWCS, a, b)
+	v := compare(DWCS, a, b)
 	if v.Winner.Slot != 1 || v.Rule != RuleLowestNumerator {
 		t.Fatalf("winner=%d rule=%v, want slot 1 via lowest-numerator", v.Winner.Slot, v.Rule)
 	}
@@ -71,7 +71,7 @@ func TestRule4EqualNonZeroLowestNumerator(t *testing.T) {
 func TestRule5FCFS(t *testing.T) {
 	a := at(5, 1, 2, 7, 0)
 	b := at(5, 1, 2, 3, 1) // identical constraints, earlier arrival
-	v := Compare(DWCS, a, b)
+	v := compare(DWCS, a, b)
 	if v.Winner.Slot != 1 || v.Rule != RuleFCFS {
 		t.Fatalf("winner=%d rule=%v, want slot 1 via fcfs", v.Winner.Slot, v.Rule)
 	}
@@ -80,7 +80,7 @@ func TestRule5FCFS(t *testing.T) {
 func TestSlotIDFinalTieBreak(t *testing.T) {
 	a := at(5, 1, 2, 3, 4)
 	b := at(5, 1, 2, 3, 2)
-	v := Compare(DWCS, a, b)
+	v := compare(DWCS, a, b)
 	if v.Winner.Slot != 2 || v.Rule != RuleSlotID {
 		t.Fatalf("winner=%d rule=%v, want slot 2 via slot-id", v.Winner.Slot, v.Rule)
 	}
@@ -89,14 +89,14 @@ func TestSlotIDFinalTieBreak(t *testing.T) {
 func TestValidityDominates(t *testing.T) {
 	invalid := attr.Attributes{Deadline: 0, Slot: 0, Valid: false} // "best" attributes but empty
 	backlogged := at(0xFFF0, 9, 9, 9, 1)
-	v := Compare(DWCS, invalid, backlogged)
+	v := compare(DWCS, invalid, backlogged)
 	if v.Winner.Slot != 1 || v.Rule != RuleValidity {
 		t.Fatalf("winner=%d rule=%v, want slot 1 via validity", v.Winner.Slot, v.Rule)
 	}
 	// Both invalid: deterministic by slot.
 	u := attr.Attributes{Slot: 3}
 	w := attr.Attributes{Slot: 1}
-	v = Compare(DWCS, u, w)
+	v = compare(DWCS, u, w)
 	if v.Winner.Slot != 1 || v.Rule != RuleSlotID {
 		t.Fatalf("two empty slots: winner=%d rule=%v, want slot 1 via slot-id", v.Winner.Slot, v.Rule)
 	}
@@ -105,13 +105,13 @@ func TestValidityDominates(t *testing.T) {
 func TestTagOnlyIgnoresConstraints(t *testing.T) {
 	a := at(5, 0, 9, 7, 0) // zero W, huge denominator — would win rule 3
 	b := at(5, 1, 2, 3, 1) // earlier arrival
-	v := Compare(TagOnly, a, b)
+	v := compare(TagOnly, a, b)
 	if v.Winner.Slot != 1 || v.Rule != RuleFCFS {
 		t.Fatalf("tag-only winner=%d rule=%v, want slot 1 via fcfs", v.Winner.Slot, v.Rule)
 	}
 	// Tag (deadline field) still dominates.
 	c := at(4, 9, 9, 99, 2)
-	if v := Compare(TagOnly, a, c); v.Winner.Slot != 2 || v.Rule != RuleEDF {
+	if v := compare(TagOnly, a, c); v.Winner.Slot != 2 || v.Rule != RuleEDF {
 		t.Fatalf("tag-only winner=%d rule=%v, want slot 2 via edf", v.Winner.Slot, v.Rule)
 	}
 }
@@ -136,8 +136,8 @@ func TestCompareTotalAndAntisymmetric(t *testing.T) {
 			if a.Slot == b.Slot {
 				return true // same slot never meets itself in the network
 			}
-			va := Compare(mode, a, b)
-			vb := Compare(mode, b, a)
+			va := compare(mode, a, b)
+			vb := compare(mode, b, a)
 			// Same winner regardless of port order.
 			if va.Winner.Slot != vb.Winner.Slot || va.Loser.Slot != vb.Loser.Slot {
 				return false
@@ -162,7 +162,7 @@ func TestLessMatchesCompare(t *testing.T) {
 		if a.Slot == b.Slot {
 			return true
 		}
-		v := Compare(DWCS, a, b)
+		v := compare(DWCS, a, b)
 		return Less(DWCS, a, b) == (v.Winner.Slot == a.Slot)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

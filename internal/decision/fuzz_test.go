@@ -21,8 +21,8 @@ func FuzzCompareConsistency(f *testing.F) {
 		b := attr.Attributes{Deadline: attr.Time16(d2), LossNum: n2, LossDen: y2,
 			Arrival: attr.Time16(a2), Slot: 1, Valid: v2}
 		for _, mode := range []Mode{DWCS, TagOnly} {
-			vab := Compare(mode, a, b)
-			vba := Compare(mode, b, a)
+			vab := compare(mode, a, b)
+			vba := compare(mode, b, a)
 			if vab.Winner.Slot == vab.Loser.Slot {
 				t.Fatalf("mode %v: winner == loser", mode)
 			}
@@ -45,7 +45,7 @@ func BenchmarkCompareDWCS(b *testing.B) {
 	y := attr.Attributes{Deadline: 100, LossNum: 1, LossDen: 2, Arrival: 7, Slot: 1, Valid: true}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Compare(DWCS, x, y)
+		compare(DWCS, x, y)
 	}
 }
 
@@ -54,6 +54,6 @@ func BenchmarkCompareTagOnly(b *testing.B) {
 	y := attr.Attributes{Deadline: 101, Arrival: 7, Slot: 1, Valid: true}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Compare(TagOnly, x, y)
+		compare(TagOnly, x, y)
 	}
 }

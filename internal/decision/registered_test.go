@@ -32,7 +32,7 @@ func TestRegisteredMatchesBehavioral(t *testing.T) {
 			blk.Drive(a, b)
 			clk.Step()
 			got := blk.Out()
-			want := Compare(mode, a, b)
+			want := compare(mode, a, b)
 			if got.Winner.Slot != want.Winner.Slot || got.Rule != want.Rule || got.Swapped != want.Swapped {
 				t.Fatalf("mode %v trial %d:\nstructural %+v rule %v\nbehavioral %+v rule %v\nfor a=%+v b=%+v",
 					mode, trial, got.Winner, got.Rule, want.Winner, want.Rule, a, b)
@@ -81,7 +81,9 @@ func TestRegisteredHoldsWithoutDrive(t *testing.T) {
 	)
 	clk.Step()
 	want := blk.Out()
-	clk.StepN(3) // idle cycles
+	for i := 0; i < 3; i++ { // idle cycles
+		clk.Step()
+	}
 	if blk.Out() != want {
 		t.Fatalf("verdict drifted across idle cycles: %+v vs %+v", blk.Out(), want)
 	}

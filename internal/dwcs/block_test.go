@@ -51,9 +51,9 @@ func crossValidateBlock(t *testing.T, circ core.Circulate, cycles int) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		if hw.SlotCounters(i) != sw.Stream(i).Counters {
+		if hw.SlotCounters(i) != sw.streams[i].Counters {
 			t.Fatalf("stream %d counters diverged:\nhw %+v\nsw %+v",
-				i, hw.SlotCounters(i), sw.Stream(i).Counters)
+				i, hw.SlotCounters(i), sw.streams[i].Counters)
 		}
 	}
 }
@@ -99,13 +99,13 @@ func TestBlockOracleTable3(t *testing.T) {
 	maxF := run(true)
 	var missed uint64
 	for i := 0; i < 4; i++ {
-		missed += maxF.Stream(i).Counters.Missed
+		missed += maxF.streams[i].Counters.Missed
 	}
 	if missed != 0 {
 		t.Fatalf("oracle max-first missed %d", missed)
 	}
 	minF := run(false)
-	if got := minF.Stream(0).Counters.Missed; got != 4000 {
+	if got := minF.streams[0].Counters.Missed; got != 4000 {
 		t.Fatalf("oracle min-first stream-1 missed %d, want 4000", got)
 	}
 }

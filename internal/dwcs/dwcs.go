@@ -40,17 +40,8 @@ type Stream struct {
 	Counters regblock.Counters
 }
 
-// Spec returns the stream's specification.
-func (st *Stream) Spec() attr.Spec { return st.spec }
-
-// Valid reports whether the stream is backlogged.
-func (st *Stream) Valid() bool { return st.valid }
-
 // Deadline returns the current head's deadline (or priority/tag).
 func (st *Stream) Deadline() uint64 { return st.deadline }
-
-// Constraint returns the current window-constraint registers.
-func (st *Stream) Constraint() attr.Constraint { return attr.Constraint{Num: st.x, Den: st.y} }
 
 // Scheduler is the software DWCS scheduler.
 type Scheduler struct {
@@ -88,15 +79,6 @@ func (s *Scheduler) Admit(i int, spec attr.Spec, src regblock.HeadSource) error 
 	}
 	return nil
 }
-
-// Streams returns the number of stream indices.
-func (s *Scheduler) Streams() int { return len(s.streams) }
-
-// Stream returns stream i (nil if never admitted).
-func (s *Scheduler) Stream(i int) *Stream { return s.streams[i] }
-
-// Now returns the virtual time (decision-cycle units).
-func (s *Scheduler) Now() uint64 { return s.now }
 
 // load pulls the next head into the stream, synthesizing its deadline.
 func (st *Stream) load(reanchor bool) {

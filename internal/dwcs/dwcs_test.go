@@ -28,8 +28,8 @@ func TestNewValidation(t *testing.T) {
 	if err := s.Admit(0, attr.Spec{Class: attr.EDF, Period: 1}, nil); err == nil {
 		t.Error("accepted nil source")
 	}
-	if s.Streams() != 2 {
-		t.Errorf("Streams() = %d", s.Streams())
+	if len(s.streams) != 2 {
+		t.Errorf("%d streams", len(s.streams))
 	}
 }
 
@@ -43,7 +43,7 @@ func TestPickIdle(t *testing.T) {
 	if r.Winner != -1 {
 		t.Fatalf("RunCycle winner = %d, want -1", r.Winner)
 	}
-	if s.Now() != 1 || s.Decisions != 1 {
+	if s.now != 1 || s.Decisions != 1 {
 		t.Fatalf("clock did not advance on idle cycle")
 	}
 }
@@ -61,7 +61,7 @@ func TestEDFPickAndRotation(t *testing.T) {
 		s.RunCycle()
 	}
 	for i := 0; i < 4; i++ {
-		w := s.Stream(i).Counters.Wins
+		w := s.streams[i].Counters.Wins
 		if w < 900 || w > 1100 {
 			t.Errorf("stream %d wins = %d, want ≈1000 (round-robin under backlog)", i, w)
 		}
@@ -84,7 +84,7 @@ func TestWindowAdjustmentsMatchHardware(t *testing.T) {
 		t.Fatal(err)
 	}
 	sw.Start()
-	st := sw.Stream(0)
+	st := sw.streams[0]
 
 	rng := rand.New(rand.NewSource(7))
 	for step := 0; step < 500; step++ {
@@ -97,9 +97,8 @@ func TestWindowAdjustmentsMatchHardware(t *testing.T) {
 			st.expire(now)
 		}
 		h := hw.Out()
-		c := st.Constraint()
-		if h.LossNum != c.Num || h.LossDen != c.Den {
-			t.Fatalf("step %d: hw %d/%d vs sw %d/%d", step, h.LossNum, h.LossDen, c.Num, c.Den)
+		if h.LossNum != st.x || h.LossDen != st.y {
+			t.Fatalf("step %d: hw %d/%d vs sw %d/%d", step, h.LossNum, h.LossDen, st.x, st.y)
 		}
 		if hw.Deadline64() != st.Deadline() {
 			t.Fatalf("step %d: hw deadline %d vs sw %d", step, hw.Deadline64(), st.Deadline())
@@ -174,8 +173,8 @@ func TestCrossValidateAgainstHardwareEDF(t *testing.T) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		if hw.SlotCounters(i) != sw.Stream(i).Counters {
-			t.Fatalf("stream %d counters diverged:\nhw %+v\nsw %+v", i, hw.SlotCounters(i), sw.Stream(i).Counters)
+		if hw.SlotCounters(i) != sw.streams[i].Counters {
+			t.Fatalf("stream %d counters diverged:\nhw %+v\nsw %+v", i, hw.SlotCounters(i), sw.streams[i].Counters)
 		}
 	}
 }
@@ -215,8 +214,8 @@ func TestCrossValidateMixedClasses(t *testing.T) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		if hw.SlotCounters(i) != sw.Stream(i).Counters {
-			t.Fatalf("stream %d counters diverged:\nhw %+v\nsw %+v", i, hw.SlotCounters(i), sw.Stream(i).Counters)
+		if hw.SlotCounters(i) != sw.streams[i].Counters {
+			t.Fatalf("stream %d counters diverged:\nhw %+v\nsw %+v", i, hw.SlotCounters(i), sw.streams[i].Counters)
 		}
 	}
 }

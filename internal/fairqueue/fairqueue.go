@@ -67,8 +67,6 @@ func (q *fifo) pop() Packet {
 	return p
 }
 
-func (q *fifo) len() int { return len(q.pkts) - q.head }
-
 // ---------------------------------------------------------------------------
 // WFQ
 

@@ -43,9 +43,6 @@ func NewRED(minTh, maxTh, maxP, wq float64, seed int64) (*RED, error) {
 	return &RED{MinTh: minTh, MaxTh: maxTh, MaxP: maxP, Wq: wq, count: -1, rng: rand.New(rand.NewSource(seed))}, nil
 }
 
-// Avg returns the current average queue estimate.
-func (r *RED) Avg() float64 { return r.avg }
-
 // OnArrival updates the average with the instantaneous queue length and
 // decides whether the arriving packet should be dropped.
 func (r *RED) OnArrival(queueLen int) bool {

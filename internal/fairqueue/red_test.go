@@ -27,7 +27,7 @@ func TestREDNeverDropsBelowMinTh(t *testing.T) {
 	r, _ := NewRED(10, 30, 0.1, 0.25, 1)
 	for i := 0; i < 1000; i++ {
 		if r.OnArrival(5) {
-			t.Fatalf("dropped at avg %v below MinTh", r.Avg())
+			t.Fatalf("dropped at avg %v below MinTh", r.avg)
 		}
 	}
 }
@@ -72,8 +72,8 @@ func TestREDEWMASmoothsBursts(t *testing.T) {
 	if r.OnArrival(1000) {
 		t.Fatal("single burst dropped despite smoothed average")
 	}
-	if r.Avg() >= 10 {
-		t.Fatalf("avg %v jumped past MinTh after one sample", r.Avg())
+	if r.avg >= 10 {
+		t.Fatalf("avg %v jumped past MinTh after one sample", r.avg)
 	}
 }
 

@@ -120,12 +120,6 @@ func (c *CrashWriter) Write(p []byte) (int, error) {
 	return keep, ErrCrash
 }
 
-// Crashed reports whether the budget has been spent.
-func (c *CrashWriter) Crashed() bool { return c.crashed }
-
-// Written returns how many bytes actually persisted.
-func (c *CrashWriter) Written() int64 { return c.written }
-
 // CrashPoints samples n distinct byte offsets in [1, size) from a seeded
 // source, ascending — the crash instants a recovery harness replays from.
 // Offsets are uniform, so they land mid-line, mid-checksum, and on line

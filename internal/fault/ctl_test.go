@@ -58,8 +58,8 @@ func TestCrashWriterTearsMidWrite(t *testing.T) {
 	if n != 3 || !errors.Is(err, ErrCrash) {
 		t.Fatalf("crossing write: %d, %v; want 3, ErrCrash", n, err)
 	}
-	if !c.Crashed() || c.Written() != 25 || buf.Len() != 25 {
-		t.Fatalf("crashed=%t written=%d buffered=%d, want true/25/25", c.Crashed(), c.Written(), buf.Len())
+	if !c.crashed || c.written != 25 || buf.Len() != 25 {
+		t.Fatalf("crashed=%t written=%d buffered=%d, want true/25/25", c.crashed, c.written, buf.Len())
 	}
 	if n, err := c.Write(line); n != 0 || !errors.Is(err, ErrCrash) {
 		t.Fatalf("post-crash write: %d, %v; want 0, ErrCrash", n, err)

@@ -146,61 +146,6 @@ func EstimateArea(slots int, routing Routing) (Area, error) {
 	}, nil
 }
 
-// Floorplan sketches how a design lays out on the CLB grid: Register Base
-// blocks in a column per slot pair, Decision blocks in a center column, and
-// the shuffle wiring crossing between them. It yields a critical-wire
-// estimate that grounds the clock-rate calibration: BA routes winner AND
-// loser buses back to the recirculation registers, roughly doubling the
-// cross-column wiring WR needs, and wire length grows with the column
-// height (∝ N), which is why clock rate falls as designs grow and why WR
-// stays flatter.
-type Floorplan struct {
-	Slots   int
-	Routing Routing
-	// ColumnCLBs is the height of the Register Base column in CLBs.
-	ColumnCLBs int
-	// CriticalWireCLBs is the modeled longest shuffle wire, in CLB pitches.
-	CriticalWireCLBs int
-	// BusesRouted is the recirculation buses crossing the fabric (N for
-	// BA — winners and losers — N/2 for WR).
-	BusesRouted int
-}
-
-// PlanFloor sketches the layout for an N-slot design.
-func PlanFloor(slots int, routing Routing) (Floorplan, error) {
-	area, err := EstimateArea(slots, routing)
-	if err != nil {
-		return Floorplan{}, err
-	}
-	// Register Base column: one block is 150 slices = 75 CLBs; stacked in
-	// a column of width ~8 CLBs.
-	regCLBs := area.RegBaseSlices / SlicesPerCLB
-	column := (regCLBs + 7) / 8
-	// The perfect shuffle connects register i to comparator i/2: the
-	// longest wire spans half the column.
-	critical := column / 2
-	if critical < 1 {
-		critical = 1
-	}
-	buses := slots
-	if routing == WR {
-		buses = slots / 2
-		// Winner-only routing also compacts the logic spread (§5.1),
-		// shortening the worst wire.
-		critical = critical * 2 / 3
-		if critical < 1 {
-			critical = 1
-		}
-	}
-	return Floorplan{
-		Slots:            slots,
-		Routing:          routing,
-		ColumnCLBs:       column,
-		CriticalWireCLBs: critical,
-		BusesRouted:      buses,
-	}, nil
-}
-
 // clockTable holds the calibrated Figure 7 clock rates (MHz) for the
 // synthesized slot counts.
 var clockTable = map[Routing]map[int]float64{
@@ -284,30 +229,8 @@ func RequiredRate(frameBytes int, linkBps float64) float64 {
 	return 1 / PacketTimeSeconds(frameBytes, linkBps)
 }
 
-// MultiPortFit reports whether `ports` independent ShareStreams schedulers
-// of slotsPerPort slots each fit on one Virtex-1000 — the design question
-// behind the §5.2 line-card contrast (the Cisco GSR offers 8 queues *per
-// port*; a multi-port ShareStreams card replicates the scheduler per port
-// and shares only the chip). The control block is per scheduler; returns
-// the total slice budget alongside the verdict.
-func MultiPortFit(ports, slotsPerPort int, routing Routing) (bool, int, error) {
-	if ports < 1 {
-		return false, 0, fmt.Errorf("fpga: %d ports", ports)
-	}
-	area, err := EstimateArea(slotsPerPort, routing)
-	if err != nil {
-		return false, 0, err
-	}
-	total := ports * area.TotalSlices()
-	return total <= Virtex1000Slices, total, nil
-}
-
-// Common link speeds and frame sizes used throughout the evaluation.
+// Common link speeds used throughout the evaluation.
 const (
 	Gigabit    = 1e9
 	TenGigabit = 1e10
-
-	MinFrameBytes   = 64
-	MTUFrameBytes   = 1500
-	JumboFrameBytes = 9000
 )

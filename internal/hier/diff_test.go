@@ -29,7 +29,7 @@ func TestFlatTreeMatchesWFQShares(t *testing.T) {
 
 	topTree := func() {
 		for i := range weights {
-			c := tr.Class(leafName(i))
+			c := tr.classes[leafName(i)]
 			for c.backlog < 4 {
 				if err := tr.Enqueue(leafName(i), 100, 0); err != nil {
 					t.Fatal(err)

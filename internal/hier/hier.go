@@ -64,17 +64,8 @@ func New() *Tree {
 	return &Tree{root: root, classes: map[string]*Class{"root": root}}
 }
 
-// Root returns the root class.
-func (t *Tree) Root() *Class { return t.root }
-
-// Class looks up a class by name.
-func (t *Tree) Class(name string) *Class { return t.classes[name] }
-
 // Name returns the class name.
 func (c *Class) Name() string { return c.name }
-
-// Weight returns the class weight within its parent.
-func (c *Class) Weight() float64 { return c.weight }
 
 // Leaf reports whether the class has no children.
 func (c *Class) Leaf() bool { return len(c.children) == 0 }

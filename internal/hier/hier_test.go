@@ -67,7 +67,7 @@ func shares(t *testing.T, tr *Tree, leaves []string, rounds int) map[string]floa
 	t.Helper()
 	top := func() {
 		for _, l := range leaves {
-			c := tr.Class(l)
+			c := tr.classes[l]
 			for c.backlog < 4 {
 				if err := tr.Enqueue(l, 100, 0); err != nil {
 					t.Fatal(err)
@@ -175,11 +175,10 @@ func TestDeepTreeWalks(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	tr := buildTwoTier(t)
-	if tr.Root().Name() != "root" || tr.Root().Leaf() {
+	if tr.root.Name() != "root" || tr.root.Leaf() {
 		t.Error("root accessors")
 	}
-	c := tr.Class("orgA")
-	if c.Weight() != 3 || c.Leaf() {
+	if c := tr.classes["orgA"]; c.weight != 3 || c.Leaf() {
 		t.Error("class accessors")
 	}
 }

@@ -10,7 +10,7 @@
 // a value produced this cycle is not visible in stored state until the next
 // edge.
 //
-// The kernel also carries a bounded trace buffer so the datapath can be
+// The package also provides a bounded trace buffer so the datapath can be
 // inspected cycle-by-cycle in tests and in the sssim tool, loosely in the
 // spirit of a VCD dump.
 package hwsim
@@ -33,29 +33,15 @@ type Component interface {
 type Clock struct {
 	components []Component
 	cycle      uint64
-	trace      *Trace
 }
 
-// NewClock returns a clock with no attached components and no tracing.
+// NewClock returns a clock with no attached components.
 func NewClock() *Clock { return &Clock{} }
 
 // Attach registers components with the clock, in evaluation order. Order is
-// irrelevant for correctness (two-phase), but deterministic order keeps
-// traces stable.
+// irrelevant for correctness (two-phase); a deterministic order keeps
+// every run identical.
 func (c *Clock) Attach(comps ...Component) { c.components = append(c.components, comps...) }
-
-// EnableTrace attaches a bounded trace buffer keeping at most limit events
-// (older events are dropped). limit <= 0 disables tracing again.
-func (c *Clock) EnableTrace(limit int) {
-	if limit <= 0 {
-		c.trace = nil
-		return
-	}
-	c.trace = newTrace(limit)
-}
-
-// Trace returns the attached trace buffer, or nil when tracing is disabled.
-func (c *Clock) Trace() *Trace { return c.trace }
 
 // Cycle returns the number of completed cycles.
 func (c *Clock) Cycle() uint64 { return c.cycle }
@@ -70,22 +56,6 @@ func (c *Clock) Step() {
 		comp.Commit()
 	}
 	c.cycle++
-}
-
-// StepN advances n cycles.
-func (c *Clock) StepN(n int) {
-	for i := 0; i < n; i++ {
-		c.Step()
-	}
-}
-
-// Emit records a trace event for the current cycle if tracing is enabled.
-// The signal name should be stable ("ctl.state", "slot3.deadline") so traces
-// grep well.
-func (c *Clock) Emit(signal string, value any) {
-	if c.trace != nil {
-		c.trace.add(Event{Cycle: c.cycle, Signal: signal, Value: fmt.Sprint(value)})
-	}
 }
 
 // Event is one traced signal change.
@@ -105,21 +75,18 @@ type Trace struct {
 	full   bool
 }
 
-func newTrace(limit int) *Trace { return &Trace{events: make([]Event, limit)} }
-
-// NewTrace builds a standalone bounded trace buffer for components that
-// manage their own cycle counting (e.g. the scheduler control unit).
+// NewTrace builds a bounded trace buffer keeping the latest limit events
+// (at least one), for components that count their own cycles (e.g. the
+// scheduler control unit).
 func NewTrace(limit int) *Trace {
 	if limit <= 0 {
 		limit = 1
 	}
-	return newTrace(limit)
+	return &Trace{events: make([]Event, limit)}
 }
 
-// Add records an event directly (standalone-trace use).
-func (t *Trace) Add(e Event) { t.add(e) }
-
-func (t *Trace) add(e Event) {
+// Add records an event; once the buffer is full it overwrites the oldest.
+func (t *Trace) Add(e Event) {
 	t.events[t.next] = e
 	t.next++
 	if t.next == len(t.events) {

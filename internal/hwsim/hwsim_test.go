@@ -50,7 +50,9 @@ func TestTwoPhaseOrderIndependent(t *testing.T) {
 		} else {
 			clk.Attach(a, b)
 		}
-		clk.StepN(10)
+		for i := 0; i < 10; i++ {
+			clk.Step()
+		}
 		return a.reg.Get(), b.reg.Get()
 	}
 	a1, b1 := run(false)
@@ -94,20 +96,20 @@ func TestRegReset(t *testing.T) {
 
 func TestClockCycleCount(t *testing.T) {
 	clk := NewClock()
-	clk.StepN(17)
+	for i := 0; i < 17; i++ {
+		clk.Step()
+	}
 	if clk.Cycle() != 17 {
 		t.Fatalf("Cycle() = %d, want 17", clk.Cycle())
 	}
 }
 
 func TestTraceBoundedAndOrdered(t *testing.T) {
-	clk := NewClock()
-	clk.EnableTrace(4)
+	tr := NewTrace(4)
 	for i := 0; i < 10; i++ {
-		clk.Emit("sig", i)
-		clk.Step()
+		tr.Add(Event{Cycle: uint64(i), Signal: "sig", Value: fmt.Sprint(i)})
 	}
-	ev := clk.Trace().Events()
+	ev := tr.Events()
 	if len(ev) != 4 {
 		t.Fatalf("trace retained %d events, want 4", len(ev))
 	}
@@ -119,21 +121,19 @@ func TestTraceBoundedAndOrdered(t *testing.T) {
 			t.Errorf("event %d cycle = %d, want %d", i, e.Cycle, 6+i)
 		}
 	}
-	if clk.Trace().Len() != 4 {
-		t.Errorf("Len() = %d, want 4", clk.Trace().Len())
+	if tr.Len() != 4 {
+		t.Errorf("Len() = %d, want 4", tr.Len())
 	}
 }
 
 func TestTraceUnfilled(t *testing.T) {
-	clk := NewClock()
-	clk.EnableTrace(100)
-	clk.Emit("a", 1)
-	clk.Step()
-	clk.Emit("b", 2)
-	if got := clk.Trace().Len(); got != 2 {
+	tr := NewTrace(100)
+	tr.Add(Event{Cycle: 0, Signal: "a", Value: "1"})
+	tr.Add(Event{Cycle: 1, Signal: "b", Value: "2"})
+	if got := tr.Len(); got != 2 {
 		t.Fatalf("Len() = %d, want 2", got)
 	}
-	ev := clk.Trace().Events()
+	ev := tr.Events()
 	if ev[0].Signal != "a" || ev[1].Signal != "b" {
 		t.Fatalf("events out of order: %v", ev)
 	}
@@ -143,30 +143,15 @@ func TestTraceUnfilled(t *testing.T) {
 }
 
 func TestTraceDumpFilter(t *testing.T) {
-	clk := NewClock()
-	clk.EnableTrace(10)
-	clk.Emit("ctl.state", "LOAD")
-	clk.Emit("slot0.deadline", 5)
-	clk.Emit("ctl.state", "SCHEDULE")
-	dump := clk.Trace().Dump("ctl")
+	tr := NewTrace(10)
+	tr.Add(Event{Signal: "ctl.state", Value: "LOAD"})
+	tr.Add(Event{Signal: "slot0.deadline", Value: "5"})
+	tr.Add(Event{Signal: "ctl.state", Value: "SCHEDULE"})
+	dump := tr.Dump("ctl")
 	if strings.Contains(dump, "slot0") {
 		t.Errorf("filter leaked unrelated signal:\n%s", dump)
 	}
 	if n := strings.Count(dump, "ctl.state"); n != 2 {
 		t.Errorf("filtered dump has %d ctl.state lines, want 2:\n%s", n, dump)
-	}
-}
-
-func TestEmitWithoutTraceIsNoop(t *testing.T) {
-	clk := NewClock()
-	clk.Emit("sig", 1) // must not panic
-	if clk.Trace() != nil {
-		t.Fatal("Trace() should be nil when tracing is disabled")
-	}
-	clk.EnableTrace(2)
-	clk.EnableTrace(0) // disable again
-	clk.Emit("sig", 2)
-	if clk.Trace() != nil {
-		t.Fatal("EnableTrace(0) should disable tracing")
 	}
 }

@@ -1,6 +1,7 @@
 package hwsim
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -72,15 +73,14 @@ func TestIDCodeUniqueness(t *testing.T) {
 }
 
 func TestVCDFromSchedulerTraceShape(t *testing.T) {
-	// A realistic trace through the Clock facility round-trips.
-	clk := NewClock()
-	clk.EnableTrace(32)
+	// A trace recorded one event per cycle, as the scheduler control unit
+	// records it, round-trips.
+	tr := NewTrace(32)
 	for i := 0; i < 5; i++ {
-		clk.Emit("slot0.deadline", i*3)
-		clk.Step()
+		tr.Add(Event{Cycle: uint64(i), Signal: "slot0.deadline", Value: strconv.Itoa(i * 3)})
 	}
 	var sb strings.Builder
-	if err := clk.Trace().WriteVCD(&sb, "dp"); err != nil {
+	if err := tr.WriteVCD(&sb, "dp"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "slot0.deadline") {

@@ -39,7 +39,7 @@ var builtin = map[string]map[string]bool{
 		"pool.admit": true, "pool.release": true, "pool.reclaim": true, "pool.measure": true,
 	},
 	"repro/internal/decision": {
-		"FastOrder": true, "KeyTie": true, "Compare": true, "Block.Compare": true,
+		"FastOrder": true, "KeyTie": true, "Block.Compare": true,
 		"Block.CompareKeyed": true, "compare": true, "order": true, "Less": true,
 		"Program.Rank": true,
 	},

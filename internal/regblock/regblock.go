@@ -124,9 +124,6 @@ func New(id attr.SlotID, spec attr.Spec, src HeadSource) (*Block, error) {
 	return b, nil
 }
 
-// Slot returns the slot ID.
-func (b *Block) Slot() attr.SlotID { return b.cur.Slot }
-
 // Spec returns the stream specification the slot was admitted with.
 func (b *Block) Spec() attr.Spec { return b.spec }
 

@@ -398,8 +398,8 @@ func TestServiceOnInvalidSlotIsNoop(t *testing.T) {
 func TestSpecAndSlotAccessors(t *testing.T) {
 	spec := wcSpec(7, 1, 4)
 	b, _ := New(9, spec, &periodicSource{step: 1})
-	if b.Slot() != 9 {
-		t.Errorf("Slot() = %d, want 9", b.Slot())
+	if b.Out().Slot != 9 {
+		t.Errorf("Out().Slot = %d, want 9", b.Out().Slot)
 	}
 	if b.Spec() != spec {
 		t.Errorf("Spec() = %+v, want %+v", b.Spec(), spec)

@@ -49,7 +49,7 @@ func TestReuseAfterRestart(t *testing.T) {
 						t.Fatalf("gen %d: salvage got %d, want %d", gen, v, low+i)
 					}
 				}
-				if !r.Empty() {
+				if r.Len() != 0 {
 					t.Fatalf("gen %d: ring not empty after barrier drain", gen)
 				}
 				// Restarted segment reuses the ring: every fresh element
@@ -67,10 +67,10 @@ func TestReuseAfterRestart(t *testing.T) {
 						}
 					}
 				}
-				for !r.Empty() {
+				for r.Len() != 0 {
 					v, ok := r.Pop()
 					if !ok {
-						t.Fatalf("gen %d: Empty/Pop disagree", gen)
+						t.Fatalf("gen %d: Len/Pop disagree", gen)
 					}
 					if v != next {
 						t.Fatalf("gen %d: got %d, want %d (stale replay or loss)", gen, v, next)

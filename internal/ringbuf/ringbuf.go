@@ -57,10 +57,6 @@ func (r *Ring[T]) Len() int {
 	return int(tail - head)
 }
 
-// Empty reports whether the ring is empty (approximate under concurrency;
-// inherits Len's conservative head-before-tail load ordering).
-func (r *Ring[T]) Empty() bool { return r.Len() == 0 }
-
 // Push appends v; it reports false when the ring is full. Producer-side
 // only.
 func (r *Ring[T]) Push(v T) bool {

@@ -43,7 +43,7 @@ func TestPushPopFIFO(t *testing.T) {
 	if _, ok := r.Pop(); ok {
 		t.Fatal("pop from empty ring succeeded")
 	}
-	if !r.Empty() {
+	if r.Len() != 0 {
 		t.Fatal("ring not empty after drain")
 	}
 }
@@ -134,7 +134,7 @@ func TestConcurrentSPSC(t *testing.T) {
 	if sum != want {
 		t.Fatalf("sum = %d, want %d", sum, want)
 	}
-	if !r.Empty() {
+	if r.Len() != 0 {
 		t.Fatalf("residual elements: %d", r.Len())
 	}
 }
@@ -186,9 +186,6 @@ func TestLenObserverNeverNegative(t *testing.T) {
 			if n := r.Len(); n < 0 {
 				bad++
 				badVal = n
-			}
-			if r.Empty() && r.Len() < 0 { // exercise Empty's audit too
-				bad++
 			}
 			runtime.Gosched() // don't starve the pipeline on small GOMAXPROCS
 		}

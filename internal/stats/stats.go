@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -124,32 +123,6 @@ func (d *DelayRecorder) Mean(i int) float64 {
 		sum += p.Y
 	}
 	return sum / float64(len(pts))
-}
-
-// Percentile returns stream i's p-th percentile delay (ms), p in [0, 100].
-func (d *DelayRecorder) Percentile(i int, p float64) float64 {
-	pts := d.series[i]
-	if len(pts) == 0 {
-		return 0
-	}
-	ys := make([]float64, len(pts))
-	for k, pt := range pts {
-		ys[k] = pt.Y
-	}
-	sort.Float64s(ys)
-	if p <= 0 {
-		return ys[0]
-	}
-	if p >= 100 {
-		return ys[len(ys)-1]
-	}
-	rank := p / 100 * float64(len(ys)-1)
-	lo := int(math.Floor(rank))
-	frac := rank - float64(lo)
-	if lo+1 >= len(ys) {
-		return ys[len(ys)-1]
-	}
-	return ys[lo]*(1-frac) + ys[lo+1]*frac
 }
 
 // Max returns stream i's maximum delay (ms).

@@ -97,16 +97,7 @@ func TestDelayRecorder(t *testing.T) {
 	if got := d.Max(0); math.Abs(got-10.0) > 1e-9 {
 		t.Fatalf("max = %v ms, want 10", got)
 	}
-	if got := d.Percentile(0, 0); math.Abs(got-1.0) > 1e-9 {
-		t.Fatalf("p0 = %v, want 1", got)
-	}
-	if got := d.Percentile(0, 100); math.Abs(got-10.0) > 1e-9 {
-		t.Fatalf("p100 = %v, want 10", got)
-	}
-	if got := d.Percentile(0, 50); math.Abs(got-2.5) > 1e-9 {
-		t.Fatalf("p50 = %v, want 2.5 (interpolated)", got)
-	}
-	if d.Mean(1) != 0 || d.Max(1) != 0 || d.Percentile(1, 50) != 0 {
+	if d.Mean(1) != 0 || d.Max(1) != 0 {
 		t.Fatal("empty stream stats nonzero")
 	}
 	if len(d.Series(0)) != 4 {

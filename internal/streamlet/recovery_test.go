@@ -9,8 +9,8 @@ import (
 func TestBacklogServesInOrder(t *testing.T) {
 	b := NewBacklog([]regblock.Head{{Arrival: 1}, {Arrival: 2}})
 	b.Push(regblock.Head{Arrival: 3})
-	if b.Remaining() != 3 {
-		t.Fatalf("remaining %d, want 3", b.Remaining())
+	if n := len(b.heads) - b.next; n != 3 {
+		t.Fatalf("remaining %d, want 3", n)
 	}
 	for want := uint64(1); want <= 3; want++ {
 		h, ok := b.NextHead()
@@ -21,8 +21,8 @@ func TestBacklogServesInOrder(t *testing.T) {
 	if _, ok := b.NextHead(); ok {
 		t.Fatal("exhausted backlog still served")
 	}
-	if b.Remaining() != 0 {
-		t.Fatalf("remaining %d after drain", b.Remaining())
+	if n := len(b.heads) - b.next; n != 0 {
+		t.Fatalf("remaining %d after drain", n)
 	}
 }
 
@@ -30,8 +30,8 @@ func TestBacklogUnget(t *testing.T) {
 	b := NewBacklog([]regblock.Head{{Arrival: 1}, {Arrival: 2}})
 	h, _ := b.NextHead()
 	b.Unget(h) // in-place undo: slot freed by the dequeue is reused
-	if b.Remaining() != 2 {
-		t.Fatalf("remaining %d, want 2", b.Remaining())
+	if n := len(b.heads) - b.next; n != 2 {
+		t.Fatalf("remaining %d, want 2", n)
 	}
 	if got, _ := b.NextHead(); got.Arrival != 1 {
 		t.Fatalf("unget lost ordering: got arrival %d", got.Arrival)

@@ -267,9 +267,6 @@ func (b *Backlog) Unget(h regblock.Head) {
 	b.heads[b.next] = h
 }
 
-// Remaining returns how many heads are still queued.
-func (b *Backlog) Remaining() int { return len(b.heads) - b.next }
-
 // NextHead implements regblock.HeadSource.
 func (b *Backlog) NextHead() (regblock.Head, bool) {
 	if b.next >= len(b.heads) {
