@@ -16,8 +16,8 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from the curren
 // function of the code and the seed alone. A moved paper number, PCI cost
 // constant or comparator rule fails here with the differing lines;
 // `go test ./cmd/ssbench -run Golden -update` rewrites the files when a
-// change in output is intended. latency and sharded are absent: they print
-// host-timed rows and wall-clock lines.
+// change in output is intended. Only latency is absent: it prints
+// host-timed rows (sharded sends its wall-clock numbers to stderr).
 func TestGolden(t *testing.T) {
 	tests := []struct {
 		name string
@@ -39,6 +39,12 @@ func TestGolden(t *testing.T) {
 		// The two seed/shard pairs the chaos gate has always swept.
 		{name: "faults-shards2-seed1", cmd: "faults", rc: runConfig{shards: 2, seed: 1}},
 		{name: "faults-shards3-seed42", cmd: "faults", rc: runConfig{shards: 3, seed: 42}},
+		{name: "sharded-shards2", cmd: "sharded", rc: runConfig{shards: 2}},
+		{name: "sharded-shards4", cmd: "sharded", rc: runConfig{shards: 4}},
+		// Short seeded runs of the two control-plane gates: the live
+		// admission path, journal and recovery replay end to end.
+		{name: "soak-seed1", cmd: "soak", rc: runConfig{seed: 1, events: 20000}},
+		{name: "crash-seed1", cmd: "crash", rc: runConfig{seed: 1, events: 5000, points: 8}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
