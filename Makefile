@@ -27,8 +27,9 @@ test:
 	go test ./...
 
 # Everything under the race detector: the concurrent packages (SPSC rings,
-# pipeline goroutines, sharded router) are the point, but the aliasing
-# contracts in shuffle/core matter under -race too.
+# the sharded router's one batch driver, whose rounds run one pipeline
+# goroutine per shard) are the point, but the aliasing contracts in
+# shuffle/core matter under -race too.
 race:
 	go test -race ./...
 
@@ -104,10 +105,10 @@ cover:
 		{ echo "FAIL: coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
 # Chaos gate: the fault-injection suite under the race detector (trace and
-# result determinism, frame conservation, bounded recovery, nil-injector
-# parity with the paper figures), plus the pipeline's own two: the driver
-# differential (Run ≡ Run again ≡ supervised-with-no-faults, decisions and
-# idle cycles included) and the bus-giveup goroutine-leak test. Then the
+# result determinism, frame conservation, bounded recovery, the fault-free
+# run's single round), plus the pipeline's own two: Run ≡ Run again,
+# decisions and idle cycles included, and the bus-giveup goroutine-leak
+# test. Then the
 # ssbench golden test, which includes two seeded end-to-end fault sweeps
 # (-shards 2 -seed 1 and -shards 3 -seed 42): each sweep's stdout must match
 # the checked-in bytes in cmd/ssbench/testdata/golden — every ledger column,

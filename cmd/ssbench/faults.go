@@ -66,13 +66,13 @@ func faults(csvPath string, shards int, seed int64) error {
 		if err != nil {
 			return fmt.Errorf("level %d: %w\n%s", lvl, err, tr.String())
 		}
-		if res.Delivered+res.Dropped != res.Target {
+		if res.Frames+res.Dropped != res.Target {
 			return fmt.Errorf("level %d: conservation violated: %d + %d != %d",
-				lvl, res.Delivered, res.Dropped, res.Target)
+				lvl, res.Frames, res.Dropped, res.Target)
 		}
 		fmt.Printf("%5d  %7d  %3d  %3d  %9d  %8d  %8d  %4d  %5d  %6d  %11.0f\n",
 			lvl, profile.ShardCrashes, profile.PCIFails+profile.BankTimeouts,
-			profile.QMSaturations, res.Delivered, res.Dropped, res.Restarts,
+			profile.QMSaturations, res.Frames, res.Dropped, res.Restarts,
 			len(res.DeadShards), res.ReaggregatedSlots, res.Rounds, res.PacketsPerS)
 		pps = append(pps, stats.Point{X: float64(lvl), Y: res.PacketsPerS})
 		dropped = append(dropped, stats.Point{X: float64(lvl), Y: float64(res.Dropped)})
@@ -127,12 +127,12 @@ func faultsPerProgram(shards int, seed int64) error {
 		if err != nil {
 			return fmt.Errorf("program %v: %w\n%s", p, err, tr.String())
 		}
-		if res.Delivered+res.Dropped != res.Target {
+		if res.Frames+res.Dropped != res.Target {
 			return fmt.Errorf("program %v: conservation violated: %d + %d != %d",
-				p, res.Delivered, res.Dropped, res.Target)
+				p, res.Frames, res.Dropped, res.Target)
 		}
 		fmt.Printf("%-15s  %9d  %8d  %8d  %4d  %6d  %11.0f\n",
-			p, res.Delivered, res.Dropped, res.Restarts,
+			p, res.Frames, res.Dropped, res.Restarts,
 			len(res.DeadShards), res.Rounds, res.PacketsPerS)
 	}
 	fmt.Println("(conservation held under every program)")

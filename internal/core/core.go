@@ -221,7 +221,7 @@ type Scheduler struct {
 	nw    *shuffle.Network
 
 	// Per-slot class facts cached off the admitted spec (Rebind keeps the
-	// spec, so only Admit/AdmitDynamic write them): expirable marks the
+	// spec, so only Admit writes them): expirable marks the
 	// deadline-bearing classes ExpireCheck acts on (EDF, window-
 	// constrained), wcClass the window-constrained subset that drops and
 	// re-advances on expiry, guarded the static-priority slots whose
@@ -350,17 +350,16 @@ func (s *Scheduler) cacheSpec(i int, spec attr.Spec) {
 // Config returns the scheduler's configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
 
-// Admit binds a stream (or streamlet aggregate) to stream-slot i. It must
-// be called before Start.
+// Admit binds a stream (or streamlet aggregate) to stream-slot i. Before
+// Start the slot is loaded with the others when Start runs. After Start it is
+// the paper's operational model ("as streams arrive, their service
+// attributes are transferred to the FPGA PCI card"): the control unit
+// re-enters the LOAD state for that slot, which costs one hardware clock,
+// and any stream previously bound to the slot departs, its counters
+// discarded with it.
 func (s *Scheduler) Admit(i int, spec attr.Spec, src regblock.HeadSource) error {
-	if s.started {
-		return fmt.Errorf("core: Admit after Start (dynamic admission goes through the Queue Manager)")
-	}
-	if i < 0 || i >= s.cfg.Slots {
-		return fmt.Errorf("core: slot %d out of range [0, %d)", i, s.cfg.Slots)
-	}
-	if s.cfg.Mode == decision.TagOnly && spec.Class == attr.WindowConstrained {
-		return fmt.Errorf("core: window-constrained streams need the DWCS decision datapath, not tag-only")
+	if err := s.checkSpec(i, spec); err != nil {
+		return err
 	}
 	b, err := regblock.New(attr.SlotID(i), spec, src)
 	if err != nil {
@@ -370,6 +369,31 @@ func (s *Scheduler) Admit(i int, spec attr.Spec, src regblock.HeadSource) error 
 	s.srcs[i] = src
 	s.timed[i], _ = src.(TimedSource)
 	s.cacheSpec(i, spec)
+	if !s.started {
+		return nil
+	}
+	s.gens[i] = genReload // new block: its generation counter starts over
+	b.SetKeyRef(s.keyRef)
+	if ts := s.timed[i]; ts != nil {
+		ts.Advance(s.vnow)
+	}
+	b.Load(s.vnow)
+	s.hwCycles++
+	if s.trace != nil {
+		s.trace.Add(hwsim.Event{Cycle: s.hwCycles, Signal: "ctl.state", Value: fmt.Sprintf("LOAD[slot %d]", i)})
+	}
+	return nil
+}
+
+// checkSpec rejects an out-of-range slot and a spec the decision mode
+// cannot run: window-constrained streams need the DWCS datapath.
+func (s *Scheduler) checkSpec(i int, spec attr.Spec) error {
+	if i < 0 || i >= s.cfg.Slots {
+		return fmt.Errorf("core: slot %d out of range [0, %d)", i, s.cfg.Slots)
+	}
+	if s.cfg.Mode == decision.TagOnly && spec.Class == attr.WindowConstrained {
+		return fmt.Errorf("core: window-constrained streams need the DWCS decision datapath, not tag-only")
+	}
 	return nil
 }
 
@@ -695,47 +719,10 @@ func (s *Scheduler) emitTrace(cr *CycleResult) {
 // was set).
 func (s *Scheduler) Trace() *hwsim.Trace { return s.trace }
 
-// AdmitDynamic binds a new stream to slot i while the scheduler is running
-// — the paper's operational model ("as streams arrive, their service
-// attributes are transferred to the FPGA PCI card"). The control unit
-// re-enters the LOAD state for that slot, which costs one hardware clock;
-// any stream previously bound to the slot departs, its counters discarded
-// with it.
-func (s *Scheduler) AdmitDynamic(i int, spec attr.Spec, src regblock.HeadSource) error {
-	if !s.started {
-		return fmt.Errorf("core: AdmitDynamic before Start (use Admit)")
-	}
-	if i < 0 || i >= s.cfg.Slots {
-		return fmt.Errorf("core: slot %d out of range [0, %d)", i, s.cfg.Slots)
-	}
-	if s.cfg.Mode == decision.TagOnly && spec.Class == attr.WindowConstrained {
-		return fmt.Errorf("core: window-constrained streams need the DWCS decision datapath, not tag-only")
-	}
-	b, err := regblock.New(attr.SlotID(i), spec, src)
-	if err != nil {
-		return err
-	}
-	s.slots[i] = b
-	s.srcs[i] = src
-	s.timed[i], _ = src.(TimedSource)
-	s.cacheSpec(i, spec)
-	s.gens[i] = genReload // new block: its generation counter starts over
-	b.SetKeyRef(s.keyRef)
-	if ts := s.timed[i]; ts != nil {
-		ts.Advance(s.vnow)
-	}
-	b.Load(s.vnow)
-	s.hwCycles++
-	if s.trace != nil {
-		s.trace.Add(hwsim.Event{Cycle: s.hwCycles, Signal: "ctl.state", Value: fmt.Sprintf("LOAD[slot %d]", i)})
-	}
-	return nil
-}
-
 // Rebind swaps slot i's head source while the scheduler runs, keeping the
 // slot's stream identity: spec, window registers, and performance counters
-// survive (unlike AdmitDynamic, which replaces the Register Base block and
-// discards its counters). The slot's in-flight head, if any, is flushed —
+// survive (unlike Admit after Start, which replaces the Register Base block
+// and discards its counters). The slot's in-flight head, if any, is flushed —
 // the caller owns conservation for it — and the slot reloads from the new
 // source, costing one LOAD clock. Each successful rebind bumps the rebind
 // epoch, the attribution fence for in-flight results.
@@ -789,11 +776,8 @@ func (s *Scheduler) Retune(i int, spec attr.Spec) error {
 	if !s.started {
 		return fmt.Errorf("core: Retune before Start (use Admit)")
 	}
-	if i < 0 || i >= s.cfg.Slots {
-		return fmt.Errorf("core: slot %d out of range [0, %d)", i, s.cfg.Slots)
-	}
-	if s.cfg.Mode == decision.TagOnly && spec.Class == attr.WindowConstrained {
-		return fmt.Errorf("core: window-constrained streams need the DWCS decision datapath, not tag-only")
+	if err := s.checkSpec(i, spec); err != nil {
+		return err
 	}
 	if err := s.slots[i].Retune(spec); err != nil {
 		return err

@@ -84,8 +84,12 @@ func TestAdmitErrors(t *testing.T) {
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Admit(0, attr.Spec{Class: attr.EDF, Period: 1}, src); err == nil {
-		t.Error("Admit after Start accepted")
+	before := s.HWCycles()
+	if err := s.Admit(0, attr.Spec{Class: attr.EDF, Period: 1}, src); err != nil {
+		t.Fatalf("Admit after Start: %v", err)
+	}
+	if got := s.HWCycles() - before; got != 1 {
+		t.Errorf("Admit after Start cost %d clocks, want 1 (single-slot LOAD)", got)
 	}
 	if err := s.Start(); err == nil {
 		t.Error("double Start accepted")

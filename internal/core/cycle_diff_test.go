@@ -245,7 +245,7 @@ func compareState(t *testing.T, at string, a, o *diffSide) {
 
 // runDiff drives the pair through a seeded mix of visited batches (some
 // stopped early by their visitor), blind batches, RunFor, single RunCycles,
-// and AdmitDynamic/Rebind/Retune between batches, checking after each step.
+// and Admit/Rebind/Retune between batches, checking after each step.
 func runDiff(t *testing.T, c diffCase, seed int64, steps int, traced, instrumented bool) {
 	t.Helper()
 	a := buildDiffSide(t, c, seed, traced, instrumented)
@@ -283,13 +283,13 @@ func runDiff(t *testing.T, c diffCase, seed int64, steps int, traced, instrument
 				recorder(&want, 0)(&ro)
 				compareLogs(t, at, got, want)
 			}
-		case 7: // AdmitDynamic with a fresh source, identical on both sides
+		case 7: // Admit after Start with a fresh source, identical on both sides
 			i := rng.Intn(c.n)
 			srcSeed := rng.Int63()
 			for _, d := range []*diffSide{a, o} {
 				r := rand.New(rand.NewSource(srcSeed))
 				src := diffSource(r, c.p.Class())
-				if err := d.s.AdmitDynamic(i, diffSpec(r, c.p.Class()), src); err != nil {
+				if err := d.s.Admit(i, diffSpec(r, c.p.Class()), src); err != nil {
 					t.Fatal(err)
 				}
 				d.srcs[i] = src

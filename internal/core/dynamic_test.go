@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/attr"
+	"repro/internal/decision"
 	"repro/internal/traffic"
 )
 
@@ -53,6 +54,8 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	}
 }
 
+// TestAdmitDynamicReplacesStream admits a stream after Start — dynamic
+// admission — over an occupied slot.
 func TestAdmitDynamicReplacesStream(t *testing.T) {
 	s := edfScheduler(t, Config{Slots: 4, Routing: WinnerOnly})
 	s.RunFor(20)
@@ -61,7 +64,7 @@ func TestAdmitDynamicReplacesStream(t *testing.T) {
 	// the established backlog's earlier deadlines to be worked off — then
 	// joins the rotation.
 	src := &traffic.Periodic{Gap: 1, Phase: s.Now(), Backlogged: true}
-	if err := s.AdmitDynamic(2, attr.Spec{Class: attr.EDF, Period: 1}, src); err != nil {
+	if err := s.Admit(2, attr.Spec{Class: attr.EDF, Period: 1}, src); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.SlotCounters(2); got.Services != 0 {
@@ -77,32 +80,23 @@ func TestAdmitDynamicReplacesStream(t *testing.T) {
 	}
 }
 
+// TestAdmitDynamicValidation: Admit after Start rejects what it rejects
+// before Start.
 func TestAdmitDynamicValidation(t *testing.T) {
-	s, _ := New(Config{Slots: 2})
-	src := &traffic.Periodic{Gap: 1, Backlogged: true}
-	if err := s.AdmitDynamic(0, attr.Spec{Class: attr.EDF, Period: 1}, src); err == nil {
-		t.Error("AdmitDynamic before Start accepted")
-	}
+	s, _ := New(Config{Slots: 2, Mode: decision.TagOnly})
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AdmitDynamic(5, attr.Spec{Class: attr.EDF, Period: 1}, src); err == nil {
+	src := &traffic.Periodic{Gap: 1, Backlogged: true}
+	if err := s.Admit(5, attr.Spec{Class: attr.EDF, Period: 1}, src); err == nil {
 		t.Error("out-of-range slot accepted")
 	}
-	if err := s.AdmitDynamic(0, attr.Spec{Class: attr.EDF}, src); err == nil {
+	if err := s.Admit(0, attr.Spec{Class: attr.EDF}, src); err == nil {
 		t.Error("invalid spec accepted")
 	}
-}
-
-func TestAdmitDynamicCostsOneLoadClock(t *testing.T) {
-	s := edfScheduler(t, Config{Slots: 4, Routing: WinnerOnly})
-	before := s.HWCycles()
-	src := &traffic.Periodic{Gap: 1, Backlogged: true}
-	if err := s.AdmitDynamic(0, attr.Spec{Class: attr.EDF, Period: 2}, src); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.HWCycles() - before; got != 1 {
-		t.Fatalf("dynamic admission cost %d clocks, want 1 (single-slot LOAD)", got)
+	wc := attr.Spec{Class: attr.WindowConstrained, Period: 1, Constraint: attr.Constraint{Num: 1, Den: 2}}
+	if err := s.Admit(0, wc, src); err == nil {
+		t.Error("tag-only datapath accepted a window-constrained stream")
 	}
 }
 

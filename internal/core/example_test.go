@@ -25,16 +25,16 @@ func Example() {
 	// block size: 4, hardware clocks: 8
 }
 
-// ExampleScheduler_AdmitDynamic replaces a stream while the scheduler runs
-// — the paper's operational model of streams arriving at the card.
-func ExampleScheduler_AdmitDynamic() {
+// ExampleScheduler_Admit replaces a stream while the scheduler runs — the
+// paper's operational model of streams arriving at the card.
+func ExampleScheduler_Admit() {
 	sched, _ := core.New(core.Config{Slots: 2, Routing: core.WinnerOnly})
 	_ = sched.Admit(0, attr.Spec{Class: attr.EDF, Period: 2},
 		&traffic.Periodic{Gap: 2, Backlogged: true})
 	_ = sched.Start()
 	sched.RunFor(10)
 	// A new stream takes over slot 1 mid-operation.
-	err := sched.AdmitDynamic(1, attr.Spec{Class: attr.EDF, Period: 4},
+	err := sched.Admit(1, attr.Spec{Class: attr.EDF, Period: 4},
 		&traffic.Periodic{Gap: 4, Phase: sched.Now(), Backlogged: true})
 	fmt.Println("admitted:", err == nil)
 	sched.RunFor(40)

@@ -3,18 +3,19 @@
 // Transmission Engine around the FPGA scheduler, with the PCI/SRAM transfer
 // substrate in between.
 //
-// Two drivers are provided:
+// Two kinds of driver are provided:
 //
 //   - Throughput computes the §5.2 operating points: packets/second with
 //     transfers excluded (the paper's 469,483 pps), with PIO transfers
 //     (299,065 pps) and with DMA pulls (the peer-peer enhancement §5.2
 //     anticipates). RunShardedOpts (a one-shard call is the single
-//     pipeline) and RunShardedSupervised additionally drive the real
-//     concurrent pipeline — producer → per-stream rings → scheduler → tx
-//     ring → transmission engine, the one in package shard — over an evenly
-//     loaded router, to validate the synchronization-free structure end to
-//     end (frame conservation, no locks), while the timing itself comes
-//     from the calibrated cost model so results stay deterministic.
+//     pipeline) and RunShardedSupervised (the same run under a fault
+//     schedule) additionally drive the real concurrent pipeline — producer
+//     → per-stream rings → scheduler → tx ring → transmission engine —
+//     through package shard's one batch driver over an evenly loaded
+//     router, to validate the synchronization-free structure end to end
+//     (frame conservation, no locks), while the timing itself comes from
+//     the calibrated cost model so results stay deterministic.
 //
 //   - RunAllocation drives the bandwidth-allocation experiments of Figures
 //     8–10: backlogged or bursty streams with rate ratios enforced by EDF

@@ -104,7 +104,7 @@ func programSpec(p decision.Program, slotsPerShard int) attr.Spec {
 // decision.ProgramDWCS over EDF-class specs is the historical chaos
 // configuration (full datapath, conserved frames); the chaos CI job iterates
 // decision.Programs() so recovery is exercised under every discipline.
-func RunShardedSupervised(shards, slotsPerShard, framesPerStream int, mode pci.Mode, p decision.Program, schedule *fault.Schedule, rcfg shard.RecoveryConfig, trace *fault.Trace) (*shard.SupervisedResult, error) {
+func RunShardedSupervised(shards, slotsPerShard, framesPerStream int, mode pci.Mode, p decision.Program, schedule *fault.Schedule, rcfg shard.RecoveryConfig, trace *fault.Trace) (*shard.Result, error) {
 	router, err := balancedRouter(shards, slotsPerShard, programSpec(p, slotsPerShard), shard.Config{Mode: mode, Program: p})
 	if err != nil {
 		return nil, err

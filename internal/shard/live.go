@@ -79,7 +79,7 @@ func (r *Router) SlotStream(k, slot int) (StreamID, bool) {
 
 // AdmitLive admits stream id while the shards run: the flow hash picks the
 // home shard, the lowest free slot there receives the descriptor and a
-// dynamically admitted block (counters start fresh — it is a new stream,
+// freshly loaded block (counters start fresh — it is a new stream,
 // whatever slot it reuses). It fails when the router is not live, the ID is
 // already admitted, the home shard has no free slot, or the spec is illegal
 // under the configured program's decision mode. Returns the placement.
@@ -87,36 +87,7 @@ func (r *Router) AdmitLive(id StreamID, spec attr.Spec) (shard, slot int, err er
 	if !r.live {
 		return 0, 0, fmt.Errorf("shard: AdmitLive before StartLive")
 	}
-	if _, dup := r.byID[id]; dup {
-		return 0, 0, fmt.Errorf("shard: stream %d already admitted", id)
-	}
-	k := r.ShardOf(id)
-	s := r.shards[k]
-	slot = -1
-	for i, u := range s.used {
-		if !u {
-			slot = i
-			break
-		}
-	}
-	if slot < 0 {
-		return 0, 0, fmt.Errorf("shard: stream %d rejected: home shard %d is full (%d slots)",
-			id, k, r.cfg.SlotsPerShard)
-	}
-	if err := s.manager.Describe(slot, spec); err != nil {
-		return 0, 0, err
-	}
-	if err := s.manager.SetProgram(slot, r.cfg.Program); err != nil {
-		return 0, 0, err
-	}
-	if err := s.sched.AdmitDynamic(slot, spec, s.manager.Source(slot)); err != nil {
-		return 0, 0, err
-	}
-	s.used[slot] = true
-	s.ids[slot] = id
-	s.occupied.Add(1)
-	r.byID[id] = location{shard: k, slot: slot}
-	return k, slot, nil
+	return r.bind(id, spec)
 }
 
 // EvictReport accounts one live eviction for the caller's conservation

@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -18,8 +17,7 @@ import (
 // them in batched epochs on one pinned thread.
 
 // schedulerBatchCycles is how many decision cycles a pipeline hands its
-// scheduler per core.RunCycles call — one epoch; the halt flag is observed
-// between epochs.
+// scheduler per core.RunCycles call — one epoch.
 const schedulerBatchCycles = 256
 
 // idleLimit bounds consecutive epochs without a scheduled frame before a
@@ -34,8 +32,8 @@ type crashInfo struct {
 	err      error  // the underlying fault (pipeline faults)
 }
 
-// pipeline is one shard's pipeline state. It outlives a single driver call:
-// the supervisor runs it again after a crash, and every count below resumes
+// pipeline is one shard's run state. It outlives a single driver call: the
+// supervisor runs it again after a crash, and every count below resumes
 // where the previous round stopped.
 type pipeline struct {
 	s   *shardState
@@ -44,23 +42,25 @@ type pipeline struct {
 
 	// Optional machinery, nil when the run does not use it — the per-frame
 	// paths test for nil before touching any of it.
-	plan  *fault.ShardPlan        // the shard's fault schedule (supervised runs)
+	plan  *fault.ShardPlan        // the shard's fault schedule (nil: no faults)
 	armed []uint64                // per own slot: frames whose planned saturation burst has been applied
 	aggs  []*streamlet.Aggregator // re-aggregated slots' aggregators (nil entry: own queue), charged per transmission
-	meter *stats.BandwidthMeter   // delivered MB/s over modeled time (plain runs)
+	meter *stats.BandwidthMeter   // delivered MB/s over modeled time (nil on an empty shard)
 
 	produced   []uint64 // per own slot: frames disposed of to the Queue Manager (queued or shed)
 	perSlot    []uint64 // per scheduler slot: frames delivered (own + adopted)
 	target     uint64   // frames owed: own streams × fps, plus work adopted from dead siblings
 	meterBatch func(int) error
 
-	// halt stops the driver between epochs: Run raises it on every
-	// pipeline when one fails.
-	halt atomic.Bool
+	// Supervision bookkeeping, touched only by the supervisor between rounds.
+	restarts  int
+	dead      bool
+	backoffNs float64
+	orphans   [][]*streamlet.Backlog // adopted backlogs per scheduler slot
 
 	scheduled  uint64
 	sinceBatch uint64     // frames scheduled since the last metered PCI batch
-	crash      *crashInfo // a recoverable stop: the supervisor restarts, Run reports it
+	crash      *crashInfo // a recoverable stop: the supervisor restarts the pipeline
 	err        error      // a non-recoverable failure raised inside visit
 	delivered  uint64     //sslint:ledger
 	published  uint64     // deliveries already flushed to the obs counter and the bandwidth meter
@@ -175,8 +175,8 @@ func (p *pipeline) visitCycle(cr *core.CycleResult) bool {
 // OS thread and runs every phase itself in batched epochs — top up every
 // stream ring, run a batch of decision cycles, drain the tx ring, publish
 // the epoch's deliveries in one flush — until everything owed is scheduled,
-// a crash stops the pipeline (p.crash), Run halts it, or a non-recoverable
-// error is returned. Ring contracts stay SPSC: one producer, one consumer,
+// a crash stops the pipeline (p.crash), or a non-recoverable error is
+// returned. Ring contracts stay SPSC: one producer, one consumer,
 // in alternating phases on one thread. Idle cycles occur when an epoch's
 // top-up runs dry and cost nothing in the model (the hardware spins while
 // the host catches up). The tx ring is empty on every return but an error,
@@ -187,9 +187,6 @@ func (p *pipeline) runToCompletion() error {
 	defer runtime.UnlockOSThread()
 	visit := p.visitCycle // bound once: a method value allocates
 	for idle := 0; p.crash == nil && p.owed() > 0; {
-		if p.halt.Load() {
-			return nil // a sibling failed; it reports why
-		}
 		for slot := range p.produced {
 			for p.produced[slot] < p.fps && p.offer(slot) {
 			}
@@ -225,7 +222,29 @@ func (p *pipeline) flushTail() error {
 
 // virtualNs is the shard's modeled time so far: host cost for every
 // delivered frame plus the transfers (and injected fault time) metered on
-// its own bus.
+// its own bus plus its restart backoffs.
 func (p *pipeline) virtualNs() float64 {
-	return float64(p.delivered)*p.cfg.HostNs + p.s.bus.BusyNs
+	return float64(p.delivered)*p.cfg.HostNs + p.s.bus.BusyNs + p.backoffNs
+}
+
+// result reports the shard's finished run.
+func (p *pipeline) result() ShardResult {
+	s := p.s
+	res := ShardResult{
+		Shard:      s.index,
+		Streams:    len(p.produced),
+		Frames:     p.delivered,
+		PerSlot:    p.perSlot,
+		Decisions:  s.sched.Decisions(),
+		IdleCycles: s.sched.IdleCycles(),
+		VirtualNs:  p.virtualNs(),
+		TransferNs: s.bus.BusyNs,
+		Counters:   s.sched.Totals(),
+		QM:         s.manager.Totals(),
+	}
+	if p.meter != nil {
+		p.meter.Finish()
+		res.Bandwidth = p.meter.Series(0)
+	}
+	return res
 }

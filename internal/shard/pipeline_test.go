@@ -13,9 +13,9 @@ import (
 	"repro/internal/regblock"
 )
 
-// driverRun is the outcome of one shard of one run — everything Run and a
-// fault-free supervised run must agree on, down to the decision and idle
-// cycle counts and the deadline outcomes.
+// driverRun is the outcome of one shard of one run — everything two runs of
+// the same admitted set must agree on, down to the decision and idle cycle
+// counts and the deadline outcomes.
 type driverRun struct {
 	Frames       uint64
 	PerSlot      []uint64
@@ -32,9 +32,9 @@ type driverRun struct {
 }
 
 // TestPipelineDriversAgree runs one admitted set through Run twice and
-// through the supervisor with no schedule, and requires the same answer from
-// all three. 201 frames × 4 streams per shard is not a multiple of
-// TransferBatch, so the trailing partial PCI batch is part of the answer.
+// requires the same answer both times. 201 frames × 4 streams per shard is
+// not a multiple of TransferBatch, so the trailing partial PCI batch is part
+// of the answer.
 func TestPipelineDriversAgree(t *testing.T) {
 	const shards, slots, frames = 2, 4, 201
 	for _, tc := range []struct {
@@ -48,7 +48,7 @@ func TestPipelineDriversAgree(t *testing.T) {
 		{"pool/pio", qm.SharedConfig{Reservation: 1, Burst: 32, DelayTarget: 64}, pci.ModePIO},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			build := func() *Router {
+			plain := func() []driverRun {
 				r := mustRouter(t, Config{
 					Shards: shards, SlotsPerShard: slots,
 					Mode: tc.mode, BufferPool: tc.pool,
@@ -56,10 +56,6 @@ func TestPipelineDriversAgree(t *testing.T) {
 				if _, err := r.AdmitBalanced(shards*slots, edfSpec(slots)); err != nil {
 					t.Fatal(err)
 				}
-				return r
-			}
-			plain := func() []driverRun {
-				r := build()
 				res, err := r.Run(frames)
 				if err != nil {
 					t.Fatal(err)
@@ -83,26 +79,6 @@ func TestPipelineDriversAgree(t *testing.T) {
 				}
 				return out
 			}
-			supervised := func() []driverRun {
-				r := build()
-				res, sup, err := r.runSupervised(frames, nil, RecoveryConfig{}, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Rounds != 1 || res.Delivered != res.Target {
-					t.Fatalf("fault-free supervised run: %+v", res)
-				}
-				var out []driverRun
-				for k, u := range sup {
-					qms := u.s.manager.Totals()
-					out = append(out, driverRun{
-						u.delivered, u.perSlot, u.s.sched.Decisions(), u.s.sched.IdleCycles(), u.s.sched.Totals(),
-						qms.Submitted, qms.Dequeued, qms.Dropped,
-						u.virtualNs(), r.Bus(k).BusyNs, r.Bus(k).Batches, r.Bus(k).BankSwitches,
-					})
-				}
-				return out
-			}
 
 			want := plain()
 			for k, w := range want {
@@ -113,40 +89,41 @@ func TestPipelineDriversAgree(t *testing.T) {
 			if got := plain(); !reflect.DeepEqual(got, want) {
 				t.Errorf("Run is not reproducible:\n got %+v\nwant %+v", got, want)
 			}
-			if got := supervised(); !reflect.DeepEqual(got, want) {
-				t.Errorf("supervised diverges from Run:\n got %+v\nwant %+v", got, want)
-			}
 		})
 	}
 }
 
-// giveupInjector fails one transfer operation far past any retry budget.
-type giveupInjector struct{ at uint64 }
+// giveupInjector fails every transfer operation from index `from` on, far
+// past any retry budget.
+type giveupInjector struct{ from uint64 }
 
 func (g giveupInjector) OnTransfer(op uint64) pci.Fault {
-	if op != g.at {
+	if op < g.from {
 		return pci.Fault{}
 	}
 	return pci.Fault{Fails: 100}
 }
 
-// TestRunPipelineMeterErrorUnblocksPipeline forces a transfer-metering
-// failure mid-run — a bus fault that exhausts the retry budget — and asserts
-// the error path returns the failure and leaves no pipeline goroutine
-// running.
+// TestRunPipelineMeterErrorUnblocksPipeline forces transfer-metering
+// failures mid-run — a bus that exhausts the retry budget on every transfer,
+// so each restart crashes again and the sole shard dies with nowhere to
+// re-home its flows — and asserts the error path returns the failure and
+// leaves no pipeline goroutine running.
 func TestRunPipelineMeterErrorUnblocksPipeline(t *testing.T) {
 	before := runtime.NumGoroutine()
 	r := mustRouter(t, Config{Shards: 1, SlotsPerShard: 4, Mode: pci.ModePIO})
 	if _, err := r.AdmitBalanced(4, edfSpec(4)); err != nil {
 		t.Fatal(err)
 	}
-	r.Bus(0).Injector = giveupInjector{at: 10}
+	r.Bus(0).Injector = giveupInjector{from: 10}
 	_, err := r.Run(8000)
-	if err == nil || !strings.Contains(err.Error(), "retry budget") {
-		t.Fatalf("error = %v, want the bus giving up", err)
+	if err == nil || !strings.Contains(err.Error(), "no surviving") {
+		t.Fatalf("error = %v, want the sole shard dead", err)
 	}
-	if got := r.Bus(0).Giveups; got != 1 {
-		t.Fatalf("%d bus giveups, want 1", got)
+	// One giveup per round: the first crash and each of the two default
+	// restarts.
+	if got := r.Bus(0).Giveups; got != 3 {
+		t.Fatalf("%d bus giveups, want 3", got)
 	}
 	// The error return waits for the pipeline goroutines; allow a moment
 	// for unrelated runtime goroutines to settle.

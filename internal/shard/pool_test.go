@@ -160,9 +160,9 @@ func TestPooledSupervisedChaosConservation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v\n%s", err, tr.String())
 	}
-	if res.Delivered+res.Dropped != res.Target {
+	if res.Frames+res.Dropped != res.Target {
 		t.Fatalf("conservation: delivered %d + dropped %d != target %d\n%s",
-			res.Delivered, res.Dropped, res.Target, tr.String())
+			res.Frames, res.Dropped, res.Target, tr.String())
 	}
 	poolQuiescent(t, r)
 }

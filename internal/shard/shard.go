@@ -16,9 +16,10 @@
 // The Figure 3 pipeline itself — produce → schedule → PCI-batch → transmit —
 // is written once (pipeline.go) with one driver: a pinned thread per shard
 // runs every phase in batched epochs, so a run's modeled results and ledgers
-// are the same from run to run. Run is one pipeline per shard; RunSupervised
-// (supervisor.go) is rounds of the same pipelines under a fault schedule;
-// live mode (live.go) hands the bare scheduler to a control plane.
+// are the same from run to run. A batch run has one lifecycle, RunSupervised
+// (supervisor.go): rounds of the per-shard pipelines, with crash recovery
+// between rounds; Run is its fault-free call, where the first round is also
+// the last. Live mode (live.go) hands the bare scheduler to a control plane.
 //
 // # Modeled time
 //
@@ -33,16 +34,12 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/attr"
 	"repro/internal/core"
 	"repro/internal/decision"
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/pci"
 	"repro/internal/qm"
@@ -164,14 +161,13 @@ type shardState struct {
 	sched   *core.Scheduler
 	txRing  *ringbuf.Ring[core.Transmission]
 	bus     *pci.Bus
-	streams []StreamID // admitted streams in slot order (batch admission)
 
-	// Slot occupancy, maintained by both batch Admit and the live-mode slot
-	// lifecycle (AdmitLive/EvictLive): used[i] marks slot i bound to ids[i],
-	// occupied counts the used slots. Batch admission fills slots densely so
-	// occupied == len(streams) until the first live eviction. used/ids belong
-	// to the admitting goroutine; occupied is atomic because the obs
-	// placement gauge scrapes it while a live control plane mutates slots.
+	// Slot occupancy, maintained by Admit, AdmitLive and EvictLive: used[i]
+	// marks slot i bound to ids[i], occupied counts the used slots. Admission
+	// fills the lowest free slot, so a batch run's streams hold slots
+	// 0..occupied-1. used/ids belong to the admitting goroutine; occupied is
+	// atomic because the obs placement gauge scrapes it while a live control
+	// plane mutates slots.
 	used     []bool
 	ids      []StreamID
 	occupied atomic.Int64
@@ -274,39 +270,53 @@ func (r *Router) ShardOf(id StreamID) int {
 	return int(h % uint64(len(r.shards)))
 }
 
-// Admit binds stream id to its flow-hashed home shard's next free slot. It
-// fails when the home shard is full — flow-hash admission control: the
+// Admit binds stream id to its flow-hashed home shard's lowest free slot.
+// It fails when the home shard is full — flow-hash admission control: the
 // dispatcher never re-homes a stream, exactly as a hash on the wire
 // wouldn't.
 func (r *Router) Admit(id StreamID, spec attr.Spec) error {
 	if r.ran {
 		return fmt.Errorf("shard: Admit after Run")
 	}
+	_, _, err := r.bind(id, spec)
+	return err
+}
+
+// bind is Admit and AdmitLive's one slot-binding body: the flow hash picks
+// the home shard, whose lowest free slot receives the Queue-Manager
+// descriptor, the router's rank program and the scheduler block (loaded at
+// once when the scheduler is already running). It returns the placement.
+func (r *Router) bind(id StreamID, spec attr.Spec) (shard, slot int, err error) {
 	if _, dup := r.byID[id]; dup {
-		return fmt.Errorf("shard: stream %d already admitted", id)
+		return 0, 0, fmt.Errorf("shard: stream %d already admitted", id)
 	}
 	k := r.ShardOf(id)
 	s := r.shards[k]
-	slot := len(s.streams)
-	if slot >= r.cfg.SlotsPerShard {
-		return fmt.Errorf("shard: stream %d rejected: home shard %d is full (%d slots)",
+	slot = -1
+	for i, u := range s.used {
+		if !u {
+			slot = i
+			break
+		}
+	}
+	if slot < 0 {
+		return 0, 0, fmt.Errorf("shard: stream %d rejected: home shard %d is full (%d slots)",
 			id, k, r.cfg.SlotsPerShard)
 	}
 	if err := s.manager.Describe(slot, spec); err != nil {
-		return err
+		return 0, 0, err
 	}
 	if err := s.manager.SetProgram(slot, r.cfg.Program); err != nil {
-		return err
+		return 0, 0, err
 	}
 	if err := s.sched.Admit(slot, spec, s.manager.Source(slot)); err != nil {
-		return err
+		return 0, 0, err
 	}
-	s.streams = append(s.streams, id)
 	s.used[slot] = true
 	s.ids[slot] = id
 	s.occupied.Add(1)
 	r.byID[id] = location{shard: k, slot: slot}
-	return nil
+	return k, slot, nil
 }
 
 // AdmitBalanced admits total streams with the given spec, walking candidate
@@ -331,7 +341,7 @@ func (r *Router) AdmitBalanced(total int, spec attr.Spec) ([]StreamID, error) {
 		if _, dup := r.byID[id]; dup {
 			continue
 		}
-		if len(r.shards[r.ShardOf(id)].streams) >= quota {
+		if int(r.shards[r.ShardOf(id)].occupied.Load()) >= quota {
 			continue
 		}
 		if err := r.Admit(id, spec); err != nil {
@@ -368,12 +378,13 @@ func (r *Router) Backlog(id StreamID) int {
 type ShardResult struct {
 	Shard      int
 	Streams    int
-	Frames     uint64
+	Frames     uint64   // including frames adopted from dead siblings
 	PerSlot    []uint64 // frames delivered per local slot
 	Decisions  uint64
 	IdleCycles uint64
 	// VirtualNs is the shard's modeled time: host cost for every frame
-	// plus the transfers metered on its own bus.
+	// plus the transfers (and injected fault time) metered on its own bus
+	// plus its restart backoffs.
 	VirtualNs  float64
 	TransferNs float64
 	Counters   regblock.Counters
@@ -382,18 +393,27 @@ type ShardResult struct {
 	Bandwidth []stats.Point
 }
 
-// Result is the aggregated view of a sharded run.
+// Result is the aggregated view of a sharded run: its frame ledger, its
+// modeled and wall-clock throughput, and what recovery it took.
 type Result struct {
-	Shards   int
-	Streams  int
-	Frames   uint64
+	Shards  int
+	Streams int
+	// Target is the frame count the run had to account for
+	// (streams × framesPerStream); conservation demands
+	// Frames + Dropped == Target.
+	Target uint64
+	Frames uint64
+	// Dropped counts frames definitively lost with accounting under the
+	// overload policy (shed or evicted); zero under Backpressure.
+	Dropped  uint64
 	PerShard []ShardResult
 	// Counters merges every shard's hardware performance counters.
 	Counters regblock.Counters
 	// Bandwidth sums the per-shard series window by window.
 	Bandwidth []stats.Point
 	// VirtualNs is the modeled completion time: the maximum over shards
-	// (they run in parallel; the slowest finishes last).
+	// (they run in parallel; the slowest finishes last) of host cost,
+	// metered transfers, injected fault time and restart backoffs.
 	VirtualNs float64
 	// PacketsPerS is the aggregate modeled throughput, Frames over
 	// VirtualNs — comparable to the §5.2 single-pipeline operating
@@ -404,6 +424,18 @@ type Result struct {
 	// with host cores.
 	WallNs          float64
 	WallPacketsPerS float64
+
+	// Restarts is the total pipeline restarts across all shards.
+	Restarts int
+	// DeadShards lists shards declared dead after exhausting restarts.
+	DeadShards []int
+	// ReaggregatedSlots counts dead-shard stream-slots whose flows were
+	// re-homed as streamlets onto survivors.
+	ReaggregatedSlots int
+	// RebindEpochs sums the survivors' scheduler rebind epochs.
+	RebindEpochs uint64
+	// Rounds is how many supervision rounds the run took (1 = no crash).
+	Rounds int
 }
 
 // MergeCounters sums hardware performance counters across shards into one
@@ -421,149 +453,11 @@ func MergeCounters(cs ...regblock.Counters) regblock.Counters {
 	return t
 }
 
-// begin opens a batch run (Run or RunSupervised, once per Router): it
-// validates the request, starts every shard's scheduler and builds the
-// per-shard pipelines, each with its slice of schedule (nil: no faults).
-func (r *Router) begin(framesPerStream int, schedule *fault.Schedule) ([]*pipeline, error) {
-	if r.ran {
-		return nil, fmt.Errorf("shard: Run called twice")
-	}
-	if framesPerStream < 1 {
-		return nil, fmt.Errorf("shard: %d frames per stream", framesPerStream)
-	}
-	if len(r.byID) == 0 {
-		return nil, fmt.Errorf("shard: no streams admitted")
-	}
-	r.ran = true
-	pipes := make([]*pipeline, len(r.shards))
-	for k, s := range r.shards {
-		if err := s.sched.Start(); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", k, err)
-		}
-		pipes[k] = &pipeline{
-			s:          s,
-			cfg:        &r.cfg,
-			fps:        uint64(framesPerStream),
-			plan:       schedule.Shard(k),
-			armed:      make([]uint64, len(s.streams)),
-			produced:   make([]uint64, len(s.streams)),
-			perSlot:    make([]uint64, r.cfg.SlotsPerShard),
-			meterBatch: s.bus.BatchMeter(r.cfg.Mode),
-			target:     uint64(len(s.streams)) * uint64(framesPerStream),
-		}
-	}
-	return pipes, nil
-}
-
-// Run pushes framesPerStream frames through every admitted stream: each
-// shard concurrently runs the full Figure 3 pipeline (pipeline.go) on its
-// own pinned thread, with no fault plan and a bandwidth meter attached,
-// then the per-shard results are merged. There is no supervisor
-// here: a pipeline that crashes (a PCI transfer giving up) fails the run and
-// aborts its siblings. Run may be called once per Router.
+// Run pushes framesPerStream frames through every admitted stream: it is
+// RunSupervised with no fault schedule, default recovery and no trace — one
+// round in which each shard runs the full Figure 3 pipeline (pipeline.go)
+// on its own pinned thread with a bandwidth meter attached, then the
+// per-shard results are merged. Run may be called once per Router.
 func (r *Router) Run(framesPerStream int) (*Result, error) {
-	pipes, err := r.begin(framesPerStream, nil)
-	if err != nil {
-		return nil, err
-	}
-
-	// One window size for every shard keeps the per-shard bandwidth
-	// series index-aligned, so the aggregator can sum them window by
-	// window.
-	maxStreams := 0
-	for _, s := range r.shards {
-		if len(s.streams) > maxStreams {
-			maxStreams = len(s.streams)
-		}
-	}
-	windowNs := float64(maxStreams*framesPerStream) * r.cfg.HostNs / float64(r.cfg.MeterWindows)
-
-	// A failure in any shard halts every other shard at its next epoch.
-	abort := func() {
-		for _, p := range pipes {
-			p.halt.Store(true)
-		}
-	}
-	errs := make([]error, len(pipes))
-	var wg sync.WaitGroup
-	start := time.Now() //sslint:allow walltime — aggregate throughput is reported in real wall-clock terms
-	for k, p := range pipes {
-		if p.target == 0 {
-			continue // nothing flow-hashed here; the shard idles out the run
-		}
-		if p.meter, errs[k] = stats.NewBandwidthMeter(1, windowNs); errs[k] != nil {
-			abort()
-			break
-		}
-		wg.Add(1)
-		go func(k int, p *pipeline) {
-			defer wg.Done()
-			err := p.runToCompletion()
-			switch {
-			case err != nil:
-			case p.crash != nil:
-				err = p.crash.err
-			case p.owed() == 0: // otherwise halted by a sibling's failure: nothing to add
-				err = p.flushTail()
-			}
-			if err != nil {
-				abort()
-				errs[k] = fmt.Errorf("shard %d: %w", k, err)
-			}
-		}(k, p)
-	}
-	wg.Wait()
-	wallNs := float64(time.Since(start)) //sslint:allow walltime — wall-clock scaling: aggregate throughput is reported in real elapsed time by design
-	// Every failure is reported, annotated with its shard index, in shard
-	// order (Join drops the nils).
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-
-	out := &Result{
-		Shards:  len(r.shards),
-		Streams: len(r.byID),
-		WallNs:  wallNs,
-	}
-	series := make([][]stats.Point, 0, len(pipes))
-	for _, p := range pipes {
-		sr := p.result()
-		out.PerShard = append(out.PerShard, sr)
-		out.Frames += sr.Frames
-		out.Counters = MergeCounters(out.Counters, sr.Counters)
-		if sr.VirtualNs > out.VirtualNs {
-			out.VirtualNs = sr.VirtualNs
-		}
-		series = append(series, sr.Bandwidth)
-	}
-	out.Bandwidth = stats.SumSeries(series...)
-	if out.VirtualNs > 0 {
-		out.PacketsPerS = float64(out.Frames) / out.VirtualNs * 1e9
-	}
-	if wallNs > 0 {
-		out.WallPacketsPerS = float64(out.Frames) / wallNs * 1e9
-	}
-	return out, nil
-}
-
-// result reports a finished plain run's pipeline.
-func (p *pipeline) result() ShardResult {
-	s := p.s
-	res := ShardResult{
-		Shard:      s.index,
-		Streams:    len(s.streams),
-		Frames:     p.delivered,
-		PerSlot:    p.perSlot,
-		Decisions:  s.sched.Decisions(),
-		IdleCycles: s.sched.IdleCycles(),
-		VirtualNs:  p.virtualNs(),
-		TransferNs: s.bus.BusyNs,
-		Counters:   s.sched.Totals(),
-		QM:         s.manager.Totals(),
-	}
-	if p.meter != nil {
-		p.meter.Finish()
-		res.Bandwidth = p.meter.Series(0)
-	}
-	return res
+	return r.RunSupervised(framesPerStream, nil, RecoveryConfig{}, nil)
 }

@@ -328,6 +328,10 @@ func TestRunPIOModeMetersTransfers(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	for _, sr := range res.PerShard {
+		// A fault-free run leaves the bus's no-fault fast path armed.
+		if inj := r.Bus(sr.Shard).Injector; inj != nil {
+			t.Fatalf("shard %d bus has injector %#v after a fault-free run", sr.Shard, inj)
+		}
 		if sr.Streams == 0 {
 			continue
 		}

@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/pci"
 	"repro/internal/qm"
 	"repro/internal/regblock"
+	"repro/internal/stats"
 	"repro/internal/streamlet"
 )
 
@@ -43,49 +45,6 @@ func (c RecoveryConfig) withDefaults() RecoveryConfig {
 	return c
 }
 
-// SupervisedResult reports a supervised chaos run.
-type SupervisedResult struct {
-	Shards  int
-	Streams int
-	// Target is the frame count the run had to account for
-	// (streams × framesPerStream); conservation demands
-	// Delivered + Dropped == Target.
-	Target    uint64
-	Delivered uint64
-	// Dropped counts frames definitively lost with accounting under the
-	// overload policy (shed or evicted); zero under Backpressure.
-	Dropped uint64
-	// Restarts is the total pipeline restarts across all shards.
-	Restarts int
-	// DeadShards lists shards declared dead after exhausting restarts.
-	DeadShards []int
-	// ReaggregatedSlots counts dead-shard stream-slots whose flows were
-	// re-homed as streamlets onto survivors.
-	ReaggregatedSlots int
-	// RebindEpochs sums the survivors' scheduler rebind epochs.
-	RebindEpochs uint64
-	// Rounds is how many supervision rounds the run took (1 = no faults).
-	Rounds int
-	// VirtualNs is the modeled completion time: max over shards of host
-	// cost, metered transfers, injected fault time and restart backoffs.
-	VirtualNs   float64
-	PacketsPerS float64
-	Counters    regblock.Counters
-	// PerShardDelivered is each shard's delivered-frame total (including
-	// frames it adopted from dead siblings).
-	PerShardDelivered []uint64
-}
-
-// supShard is one shard's supervision state: its pipeline, which persists
-// across rounds, plus the recovery bookkeeping.
-type supShard struct {
-	*pipeline
-	restarts  int
-	dead      bool
-	backoffNs float64
-	orphans   [][]*streamlet.Backlog // adopted backlogs per scheduler slot
-}
-
 // RunSupervised pushes framesPerStream frames through every admitted stream
 // under a fault schedule, supervising the shard pipelines: a crashed
 // pipeline (injected crash or PCI transfer giveup) is restarted with capped
@@ -95,30 +54,74 @@ type supShard struct {
 // per-stream QoS degrades, service continues).
 //
 // The run proceeds in barrier-phased rounds: every live shard runs its
-// pipeline segment concurrently until completion or crash, then the
-// supervisor (single-threaded, in shard-index order) applies recovery and
-// appends to trace — so the same seed yields a byte-identical trace.
-// schedule may be nil (no faults, one round) and trace may be nil
-// (discard). RunSupervised may be called once per Router, in place of Run.
-func (r *Router) RunSupervised(framesPerStream int, schedule *fault.Schedule, rcfg RecoveryConfig, trace *fault.Trace) (*SupervisedResult, error) {
+// pipeline (pipeline.go) concurrently on its own pinned thread until
+// completion or crash, then the supervisor (single-threaded, in shard-index
+// order) applies recovery and appends to trace — so the same seed yields a
+// byte-identical trace. When nothing crashes the first round is also the
+// last. Each loaded shard carries a bandwidth meter over modeled time, and
+// the wall-clock time of the rounds is reported beside the modeled time.
+// schedule may be nil (no faults) and trace may be nil (discard).
+// RunSupervised (or Run) may be called once per Router.
+func (r *Router) RunSupervised(framesPerStream int, schedule *fault.Schedule, rcfg RecoveryConfig, trace *fault.Trace) (*Result, error) {
 	res, _, err := r.runSupervised(framesPerStream, schedule, rcfg, trace)
 	return res, err
 }
 
-// runSupervised is RunSupervised, also returning the per-shard supervision
-// state the run ended with.
-func (r *Router) runSupervised(framesPerStream int, schedule *fault.Schedule, rcfg RecoveryConfig, trace *fault.Trace) (*SupervisedResult, []*supShard, error) {
-	pipes, err := r.begin(framesPerStream, schedule)
-	if err != nil {
-		return nil, nil, err
+// runSupervised is RunSupervised, also returning the per-shard pipelines
+// the run ended with.
+func (r *Router) runSupervised(framesPerStream int, schedule *fault.Schedule, rcfg RecoveryConfig, trace *fault.Trace) (*Result, []*pipeline, error) {
+	if r.ran {
+		return nil, nil, fmt.Errorf("shard: Run called twice")
 	}
+	if framesPerStream < 1 {
+		return nil, nil, fmt.Errorf("shard: %d frames per stream", framesPerStream)
+	}
+	if len(r.byID) == 0 {
+		return nil, nil, fmt.Errorf("shard: no streams admitted")
+	}
+	r.ran = true
 	rcfg = rcfg.withDefaults()
 
-	sup := make([]*supShard, len(pipes))
-	for k, p := range pipes {
-		p.s.manager.SetPolicy(rcfg.Policy)
-		p.s.bus.Injector = p.plan.Bus()
-		sup[k] = &supShard{pipeline: p, orphans: make([][]*streamlet.Backlog, r.cfg.SlotsPerShard)}
+	// One window size for every shard keeps the per-shard bandwidth
+	// series index-aligned, so the aggregator can sum them window by
+	// window.
+	maxStreams := 0
+	for _, s := range r.shards {
+		maxStreams = max(maxStreams, int(s.occupied.Load()))
+	}
+	windowNs := float64(maxStreams*framesPerStream) * r.cfg.HostNs / float64(r.cfg.MeterWindows)
+
+	pipes := make([]*pipeline, len(r.shards))
+	for k, s := range r.shards {
+		if err := s.sched.Start(); err != nil {
+			return nil, nil, fmt.Errorf("shard %d: %w", k, err)
+		}
+		s.manager.SetPolicy(rcfg.Policy)
+		streams := int(s.occupied.Load())
+		p := &pipeline{
+			s:          s,
+			cfg:        &r.cfg,
+			fps:        uint64(framesPerStream),
+			plan:       schedule.Shard(k),
+			armed:      make([]uint64, streams),
+			produced:   make([]uint64, streams),
+			perSlot:    make([]uint64, r.cfg.SlotsPerShard),
+			orphans:    make([][]*streamlet.Backlog, r.cfg.SlotsPerShard),
+			meterBatch: s.bus.BatchMeter(r.cfg.Mode),
+			target:     uint64(streams) * uint64(framesPerStream),
+		}
+		// Only a real injector is installed: a nil *fault.Injector in the
+		// interface would defeat the bus's no-fault fast path.
+		if inj := p.plan.Bus(); inj != nil {
+			s.bus.Injector = inj
+		}
+		if p.target > 0 { // an empty shard idles out the run and reports no series
+			var err error
+			if p.meter, err = stats.NewBandwidthMeter(1, windowNs); err != nil {
+				return nil, nil, err
+			}
+		}
+		pipes[k] = p
 	}
 
 	// Round bound: every round but the last retires at least one crash, and
@@ -129,22 +132,22 @@ func (r *Router) runSupervised(framesPerStream int, schedule *fault.Schedule, rc
 		maxRounds += len(schedule.Events())
 	}
 
-	result := &SupervisedResult{
+	out := &Result{
 		Shards:  len(r.shards),
 		Streams: len(r.byID),
 		Target:  uint64(len(r.byID)) * uint64(framesPerStream),
 	}
 	rrCursor := 0
-
+	start := time.Now() //sslint:allow walltime — aggregate throughput is reported in real wall-clock terms
 	for round := 0; ; round++ {
-		var active []*supShard
-		for _, u := range sup {
-			if !u.dead && u.owed() > 0 {
-				active = append(active, u)
+		var active []*pipeline
+		for _, p := range pipes {
+			if !p.dead && p.owed() > 0 {
+				active = append(active, p)
 			}
 		}
 		if len(active) == 0 {
-			result.Rounds = round
+			out.Rounds = round
 			break
 		}
 		if round >= maxRounds {
@@ -157,79 +160,87 @@ func (r *Router) runSupervised(framesPerStream int, schedule *fault.Schedule, rc
 		// bookkeeping is exact between rounds).
 		var wg sync.WaitGroup
 		errs := make([]error, len(active))
-		for i, u := range active {
+		for i, p := range active {
 			wg.Add(1)
-			go func(i int, u *supShard) {
+			go func(i int, p *pipeline) {
 				defer wg.Done()
-				if err := u.runToCompletion(); err != nil {
-					errs[i] = fmt.Errorf("shard %d: %w", u.s.index, err)
+				if err := p.runToCompletion(); err != nil {
+					errs[i] = fmt.Errorf("shard %d: %w", p.s.index, err)
 				}
-			}(i, u)
+			}(i, p)
 		}
 		wg.Wait()
+		// Every failure is reported, annotated with its shard index, in
+		// shard order (Join drops the nils).
 		if err := errors.Join(errs...); err != nil {
 			return nil, nil, err
 		}
 
 		// Recovery decisions: single-threaded, shard-index order.
-		for _, u := range active {
-			if u.crash == nil {
+		for _, p := range active {
+			if p.crash == nil {
 				continue
 			}
-			c := u.crash
-			u.crash = nil
+			c := p.crash
+			p.crash = nil
 			if c.injected {
-				trace.Addf("round=%d shard=%d crash injected at=%d", round, u.s.index, c.at)
+				trace.Addf("round=%d shard=%d crash injected at=%d", round, p.s.index, c.at)
 			} else {
-				trace.Addf("round=%d shard=%d crash pipeline: %v", round, u.s.index, c.err)
+				trace.Addf("round=%d shard=%d crash pipeline: %v", round, p.s.index, c.err)
 			}
-			if u.restarts < rcfg.MaxRestarts {
-				u.restarts++
-				result.Restarts++
+			if p.restarts < rcfg.MaxRestarts {
+				p.restarts++
+				out.Restarts++
 				backoff := rcfg.BackoffNs
-				for i := 1; i < u.restarts; i++ {
+				for i := 1; i < p.restarts; i++ {
 					backoff *= 2
 				}
 				if backoff > rcfg.MaxBackoffNs {
 					backoff = rcfg.MaxBackoffNs
 				}
-				u.backoffNs += backoff
-				trace.Addf("round=%d shard=%d restart n=%d backoff=%gns", round, u.s.index, u.restarts, backoff)
+				p.backoffNs += backoff
+				trace.Addf("round=%d shard=%d restart n=%d backoff=%gns", round, p.s.index, p.restarts, backoff)
 				continue
 			}
-			u.dead = true
-			result.DeadShards = append(result.DeadShards, u.s.index)
-			trace.Addf("round=%d shard=%d dead after %d restarts", round, u.s.index, u.restarts)
-			n, err := r.reaggregate(u, sup, &rrCursor, round, trace)
+			p.dead = true
+			out.DeadShards = append(out.DeadShards, p.s.index)
+			trace.Addf("round=%d shard=%d dead after %d restarts", round, p.s.index, p.restarts)
+			n, err := r.reaggregate(p, pipes, &rrCursor, round, trace)
 			if err != nil {
 				return nil, nil, err
 			}
-			result.ReaggregatedSlots += n
+			out.ReaggregatedSlots += n
 		}
 	}
+	out.WallNs = float64(time.Since(start)) //sslint:allow walltime — wall-clock scaling: aggregate throughput is reported in real elapsed time by design
 
-	for _, u := range sup {
+	series := make([][]stats.Point, 0, len(pipes))
+	for _, p := range pipes {
 		// The trailing partial PCI batch is metered once, when the run is
-		// over, exactly as Run does — never between rounds, where it would
-		// shift the bus operation indices the fault schedule keys on. A
-		// fault abandoning this last transfer is charged to the bus and
-		// traced, but crashes nothing: no work is left to restart.
-		if err := u.flushTail(); err != nil {
-			trace.Addf("shard=%d tail batch abandoned: %v", u.s.index, err)
+		// over — never between rounds, where it would shift the bus
+		// operation indices the fault schedule keys on. A fault abandoning
+		// this last transfer is charged to the bus and traced, but crashes
+		// nothing: no work is left to restart.
+		if err := p.flushTail(); err != nil {
+			trace.Addf("shard=%d tail batch abandoned: %v", p.s.index, err)
 		}
-		result.Delivered += u.delivered
-		result.Dropped += u.s.manager.LiveDropped()
-		result.RebindEpochs += u.s.sched.RebindEpoch()
-		result.Counters = MergeCounters(result.Counters, u.s.sched.Totals())
-		result.PerShardDelivered = append(result.PerShardDelivered, u.delivered)
-		if vns := u.virtualNs() + u.backoffNs; vns > result.VirtualNs {
-			result.VirtualNs = vns
-		}
+		sr := p.result()
+		out.PerShard = append(out.PerShard, sr)
+		out.Frames += sr.Frames
+		out.Dropped += p.s.manager.LiveDropped()
+		out.RebindEpochs += p.s.sched.RebindEpoch()
+		out.Counters = MergeCounters(out.Counters, sr.Counters)
+		out.VirtualNs = max(out.VirtualNs, sr.VirtualNs)
+		series = append(series, sr.Bandwidth)
 	}
-	if result.VirtualNs > 0 {
-		result.PacketsPerS = float64(result.Delivered) / result.VirtualNs * 1e9
+	out.Bandwidth = stats.SumSeries(series...)
+	if out.VirtualNs > 0 {
+		out.PacketsPerS = float64(out.Frames) / out.VirtualNs * 1e9
 	}
-	return result, sup, nil
+	if out.WallNs > 0 {
+		out.WallPacketsPerS = float64(out.Frames) / out.WallNs * 1e9
+	}
+	return out, pipes, nil
 }
 
 // reaggregate salvages a dead shard's undelivered flows and re-homes them,
@@ -239,19 +250,19 @@ func (r *Router) runSupervised(framesPerStream int, schedule *fault.Schedule, rc
 // it has adopted, and swapped in with a counter-preserving scheduler rebind
 // (bumping the target's rebind epoch). It returns how many dead slots were
 // re-homed.
-func (r *Router) reaggregate(dead *supShard, sup []*supShard, rrCursor *int, round int, trace *fault.Trace) (int, error) {
+func (r *Router) reaggregate(dead *pipeline, pipes []*pipeline, rrCursor *int, round int, trace *fault.Trace) (int, error) {
 	// The survivor slot pool, in (shard, slot) index order — the round-robin
 	// the paper uses between streamlets, applied here to placement.
 	type pair struct {
-		u    *supShard
+		u    *pipeline
 		slot int
 	}
 	var pool []pair
-	for _, v := range sup {
+	for _, v := range pipes {
 		if v.dead {
 			continue
 		}
-		for slot := range v.s.streams {
+		for slot := 0; slot < int(v.s.occupied.Load()); slot++ {
 			pool = append(pool, pair{v, slot})
 		}
 	}
@@ -259,7 +270,7 @@ func (r *Router) reaggregate(dead *supShard, sup []*supShard, rrCursor *int, rou
 		return 0, fmt.Errorf("shard %d dead with no surviving stream-slots to re-aggregate onto", dead.s.index)
 	}
 
-	n := len(dead.s.streams)
+	n := len(dead.produced)
 	// built counts salvaged heads; the gap to the shard's remaining work is
 	// frames in flight inside the dead scheduler, synthesized below.
 	heads := make([][]regblock.Head, n)

@@ -2,62 +2,12 @@ package shard
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/pci"
 	"repro/internal/qm"
 )
-
-// barrierInjector synchronizes two shards' buses so both reach their fault
-// point before either is allowed to fail — making "two concurrently failing
-// shards" deterministic instead of a race with sibling cancellation.
-type barrierInjector struct {
-	wg *sync.WaitGroup
-}
-
-func (b *barrierInjector) OnTransfer(op uint64) pci.Fault {
-	if op != 0 {
-		return pci.Fault{}
-	}
-	b.wg.Done()
-	b.wg.Wait()
-	return pci.Fault{Fails: 100} // far past any retry budget
-}
-
-func TestRunJoinsAllShardErrors(t *testing.T) {
-	r := mustRouter(t, Config{Shards: 2, SlotsPerShard: 4, Mode: pci.ModePIO, TransferBatch: 1})
-	if _, err := r.AdmitBalanced(4, edfSpec(4)); err != nil {
-		t.Fatal(err)
-	}
-	var barrier sync.WaitGroup
-	barrier.Add(2)
-	for k := 0; k < 2; k++ {
-		r.Bus(k).Injector = &barrierInjector{wg: &barrier}
-	}
-	_, err := r.Run(64)
-	if err == nil {
-		t.Fatal("both shards failed; Run must error")
-	}
-	for _, want := range []string{"shard 0", "shard 1"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("joined error missing %q: %v", want, err)
-		}
-	}
-	if strings.Contains(err.Error(), "canceled") {
-		t.Errorf("sibling cancellations must be dropped when root causes exist: %v", err)
-	}
-	var count int
-	for _, line := range strings.Split(err.Error(), "\n") {
-		if strings.Contains(line, "retry budget") {
-			count++
-		}
-	}
-	if count != 2 {
-		t.Errorf("want both root-cause failures in the join, got %d:\n%v", count, err)
-	}
-}
 
 func supervisedRouter(t *testing.T, shards, slots, streams int) *Router {
 	t.Helper()
@@ -68,10 +18,12 @@ func supervisedRouter(t *testing.T, shards, slots, streams int) *Router {
 	return r
 }
 
+// TestSupervisedNoFaultsMatchesPlainRun: a fault-free supervised run is the
+// plain run — one round, no recovery actions, an empty trace — and it meters
+// the trailing partial PCI batch, so modeled time is host cost plus every
+// batch. 201 frames × 4 streams per shard is not a multiple of
+// TransferBatch.
 func TestSupervisedNoFaultsMatchesPlainRun(t *testing.T) {
-	// 201 frames × 4 streams per shard is not a multiple of TransferBatch:
-	// the metered cases pin that the supervisor, too, meters the trailing
-	// partial PCI batch, so modeled time matches the plain run's exactly.
 	for _, tc := range []struct {
 		mode   pci.Mode
 		frames int
@@ -81,43 +33,35 @@ func TestSupervisedNoFaultsMatchesPlainRun(t *testing.T) {
 		{pci.ModeDMA, 201},
 	} {
 		t.Run(tc.mode.String(), func(t *testing.T) {
-			build := func() *Router {
-				r := mustRouter(t, Config{Shards: 2, SlotsPerShard: 4, Mode: tc.mode})
-				if _, err := r.AdmitBalanced(8, edfSpec(4)); err != nil {
-					t.Fatal(err)
-				}
-				return r
-			}
-			plain := build()
-			res, err := plain.Run(tc.frames)
-			if err != nil {
+			r := mustRouter(t, Config{Shards: 2, SlotsPerShard: 4, Mode: tc.mode})
+			if _, err := r.AdmitBalanced(8, edfSpec(4)); err != nil {
 				t.Fatal(err)
 			}
-			supd := build()
 			var tr fault.Trace
-			sres, err := supd.RunSupervised(tc.frames, nil, RecoveryConfig{}, &tr)
+			res, err := r.RunSupervised(tc.frames, nil, RecoveryConfig{}, &tr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sres.Delivered != res.Frames || sres.Delivered != sres.Target {
-				t.Fatalf("supervised delivered %d, plain %d, target %d", sres.Delivered, res.Frames, sres.Target)
+			if res.Frames != res.Target || res.Target != uint64(8*tc.frames) {
+				t.Fatalf("delivered %d of target %d, want %d", res.Frames, res.Target, 8*tc.frames)
 			}
-			if sres.Rounds != 1 || sres.Restarts != 0 || len(sres.DeadShards) != 0 || sres.Dropped != 0 {
-				t.Fatalf("fault-free run took recovery actions: %+v", sres)
+			if res.Rounds != 1 || res.Restarts != 0 || len(res.DeadShards) != 0 || res.Dropped != 0 {
+				t.Fatalf("fault-free run took recovery actions: %+v", res)
 			}
 			if tr.Len() != 0 {
 				t.Fatalf("fault-free run wrote a trace:\n%s", tr.String())
 			}
-			if sres.Counters.Services != res.Counters.Services {
-				t.Fatalf("supervised services %d, plain %d", sres.Counters.Services, res.Counters.Services)
-			}
-			if sres.VirtualNs != res.VirtualNs || sres.PacketsPerS != res.PacketsPerS {
-				t.Fatalf("modeled time: supervised %v ns / %v pps, plain %v ns / %v pps",
-					sres.VirtualNs, sres.PacketsPerS, res.VirtualNs, res.PacketsPerS)
-			}
-			for k := 0; k < 2; k++ {
-				if got, want := supd.Bus(k).BusyNs, plain.Bus(k).BusyNs; got != want {
-					t.Fatalf("shard %d bus BusyNs: supervised %v, plain %v", k, got, want)
+			full := uint64(4 * tc.frames / 32) // full PCI batches per shard
+			for k, sr := range res.PerShard {
+				bus := r.Bus(k)
+				if host := float64(sr.Frames) * DefaultHostNs; sr.VirtualNs != host+bus.BusyNs {
+					t.Fatalf("shard %d modeled %v ns, want host %v + bus %v", k, sr.VirtualNs, host, bus.BusyNs)
+				}
+				// Each metered batch is two bus transfers: arrival times
+				// in, stream IDs back.
+				if tc.mode != pci.ModeNone && bus.Batches != 2*(full+1) {
+					t.Fatalf("shard %d made %d bus transfers, want 2×(%d full batches + the trailing partial one)",
+						k, bus.Batches, full)
 				}
 			}
 		})
@@ -138,8 +82,8 @@ func TestSupervisedRestartsRecoverCrash(t *testing.T) {
 	if res.Restarts != 1 || len(res.DeadShards) != 0 {
 		t.Fatalf("one injected crash must cost one restart, no deaths: %+v\n%s", res, tr.String())
 	}
-	if res.Delivered != res.Target || res.Dropped != 0 {
-		t.Fatalf("conservation: delivered %d + dropped %d != target %d", res.Delivered, res.Dropped, res.Target)
+	if res.Frames != res.Target || res.Dropped != 0 {
+		t.Fatalf("conservation: delivered %d + dropped %d != target %d", res.Frames, res.Dropped, res.Target)
 	}
 	if !strings.Contains(tr.String(), "crash injected") || !strings.Contains(tr.String(), "restart n=1") {
 		t.Fatalf("trace missing recovery record:\n%s", tr.String())
@@ -169,9 +113,9 @@ func TestSupervisedDeadShardReaggregates(t *testing.T) {
 	if res.ReaggregatedSlots == 0 || res.RebindEpochs == 0 {
 		t.Fatalf("dead shard must re-aggregate with rebind epochs: %+v", res)
 	}
-	if res.Delivered+res.Dropped != res.Target {
+	if res.Frames+res.Dropped != res.Target {
 		t.Fatalf("conservation: delivered %d + dropped %d != target %d\n%s",
-			res.Delivered, res.Dropped, res.Target, tr.String())
+			res.Frames, res.Dropped, res.Target, tr.String())
 	}
 	if !strings.Contains(tr.String(), "reaggregate -> shard=") {
 		t.Fatalf("trace missing re-aggregation records:\n%s", tr.String())
@@ -194,7 +138,7 @@ func TestSupervisedPCIFaultsRetryOrCrash(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v\n%s", err, tr.String())
 	}
-	if res.Delivered+res.Dropped != res.Target {
+	if res.Frames+res.Dropped != res.Target {
 		t.Fatalf("conservation: %+v", res)
 	}
 	var retries uint64
@@ -222,8 +166,8 @@ func TestSupervisedSaturationUnderRejectNew(t *testing.T) {
 	if res.Dropped == 0 {
 		t.Fatal("forced saturation under RejectNew must shed with accounting")
 	}
-	if res.Delivered+res.Dropped != res.Target {
-		t.Fatalf("conservation: delivered %d + dropped %d != target %d", res.Delivered, res.Dropped, res.Target)
+	if res.Frames+res.Dropped != res.Target {
+		t.Fatalf("conservation: delivered %d + dropped %d != target %d", res.Frames, res.Dropped, res.Target)
 	}
 }
 
@@ -271,28 +215,6 @@ func TestSupervisedAllShardsDead(t *testing.T) {
 	}
 }
 
-// TestSupervisedErrorIsNotCanceled: with no supervisor, one shard's bus
-// giving up fails the run, and the sibling Run halts stops quietly — the
-// error names the failed shard alone.
-func TestSupervisedErrorIsNotCanceled(t *testing.T) {
-	const frames = 100_000 // far more than shard 0 can deliver before shard 1 fails
-	r := mustRouter(t, Config{Shards: 2, SlotsPerShard: 4, Mode: pci.ModePIO})
-	if _, err := r.AdmitBalanced(8, edfSpec(4)); err != nil {
-		t.Fatal(err)
-	}
-	r.Bus(1).Injector = giveupInjector{at: 4}
-	_, err := r.Run(frames)
-	if err == nil || !strings.Contains(err.Error(), "shard 1") {
-		t.Fatalf("error = %v, want shard 1's bus giving up", err)
-	}
-	if strings.Contains(err.Error(), "shard 0") || strings.Contains(err.Error(), "canceled") {
-		t.Fatalf("the halted sibling must add nothing: %v", err)
-	}
-	if got := r.shards[0].sched.Totals().Services; got >= 4*frames {
-		t.Fatalf("shard 0 ran all %d frames out instead of halting", got)
-	}
-}
-
 // TestSupervisedReaggregationChargesTransmissions kills a shard early in a
 // long run, so the survivor's re-aggregated slots serve well over 10⁵
 // decision cycles through their streamlet aggregators. An aggregator
@@ -311,7 +233,7 @@ func TestSupervisedReaggregationChargesTransmissions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v\n%s", err, tr.String())
 	}
-	if len(res.DeadShards) != 1 || res.Delivered != res.Target {
+	if len(res.DeadShards) != 1 || res.Frames != res.Target {
 		t.Fatalf("want one dead shard and full delivery: %+v\n%s", res, tr.String())
 	}
 	reaggregated := 0

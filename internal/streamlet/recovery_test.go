@@ -26,25 +26,6 @@ func TestBacklogServesInOrder(t *testing.T) {
 	}
 }
 
-func TestBacklogUnget(t *testing.T) {
-	b := NewBacklog([]regblock.Head{{Arrival: 1}, {Arrival: 2}})
-	h, _ := b.NextHead()
-	b.Unget(h) // in-place undo: slot freed by the dequeue is reused
-	if n := len(b.heads) - b.next; n != 2 {
-		t.Fatalf("remaining %d, want 2", n)
-	}
-	if got, _ := b.NextHead(); got.Arrival != 1 {
-		t.Fatalf("unget lost ordering: got arrival %d", got.Arrival)
-	}
-
-	// Unget onto a fresh backlog (nothing dequeued yet) must prepend.
-	b2 := NewBacklog([]regblock.Head{{Arrival: 5}})
-	b2.Unget(regblock.Head{Arrival: 4})
-	if got, _ := b2.NextHead(); got.Arrival != 4 {
-		t.Fatalf("prepend unget lost ordering: got arrival %d", got.Arrival)
-	}
-}
-
 func TestDiscardPendingRollsBackService(t *testing.T) {
 	set, err := NewSet(1, []regblock.HeadSource{
 		NewBacklog([]regblock.Head{{Arrival: 1}, {Arrival: 3}}),

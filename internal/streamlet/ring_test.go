@@ -1,10 +1,6 @@
 package streamlet
 
-import (
-	"testing"
-
-	"repro/internal/regblock"
-)
+import "testing"
 
 // TestRingWrapAndGrow runs push/pop scripts against a slice model. A
 // positive step pushes that many fresh providers, a negative one pops that
@@ -105,45 +101,5 @@ func TestPendingStaysBoundedInService(t *testing.T) {
 	}
 	if len(agg.pending.buf) != 4 {
 		t.Fatalf("provenance buffer grew to %d entries", len(agg.pending.buf))
-	}
-}
-
-// TestBacklogUngetAmortized ungets onto a backlog with no freed slot, many
-// times over: the order must hold and the front must reopen geometrically,
-// not once per unget.
-func TestBacklogUngetAmortized(t *testing.T) {
-	const n = 1024
-	heads := make([]regblock.Head, n)
-	for i := range heads {
-		heads[i] = regblock.Head{Arrival: uint64(n + i)}
-	}
-	b := NewBacklog(heads)
-	reopened := 0
-	for i := n - 1; i >= 0; i-- {
-		before := len(b.heads)
-		b.Unget(regblock.Head{Arrival: uint64(i)})
-		if len(b.heads) != before {
-			reopened++
-		}
-	}
-	if reopened > 3 {
-		t.Errorf("%d ungets onto a fresh backlog rebuilt it %d times", n, reopened)
-	}
-	if got := len(b.heads) - b.next; got != 2*n {
-		t.Fatalf("remaining %d, want %d", got, 2*n)
-	}
-	for want := uint64(0); want < 2*n; want++ {
-		if h, ok := b.NextHead(); !ok || h.Arrival != want {
-			t.Fatalf("head %v/%v, want arrival %d", h, ok, want)
-		}
-	}
-
-	// A dequeue-then-unget round trip reuses the freed slot.
-	b = NewBacklog([]regblock.Head{{Arrival: 1}, {Arrival: 2}})
-	if got := testing.AllocsPerRun(100, func() {
-		h, _ := b.NextHead()
-		b.Unget(h)
-	}); got != 0 {
-		t.Errorf("dequeue/unget round trip allocated %v times", got)
 	}
 }

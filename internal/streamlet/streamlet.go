@@ -252,21 +252,6 @@ func NewBacklog(heads []regblock.Head) *Backlog {
 // Push appends a head to the backlog.
 func (b *Backlog) Push(h regblock.Head) { b.heads = append(b.heads, h) }
 
-// Unget returns a head to the front of the backlog (the undo for a dequeue
-// whose consumer abandoned it). It reuses the slot the dequeue freed; with
-// no freed slot it reopens the front with slack in proportion to the
-// backlog, so a run of ungets costs O(1) each, amortized.
-func (b *Backlog) Unget(h regblock.Head) {
-	if b.next == 0 {
-		slack := len(b.heads)/2 + 1
-		heads := make([]regblock.Head, slack+len(b.heads))
-		copy(heads[slack:], b.heads)
-		b.heads, b.next = heads, slack
-	}
-	b.next--
-	b.heads[b.next] = h
-}
-
 // NextHead implements regblock.HeadSource.
 func (b *Backlog) NextHead() (regblock.Head, bool) {
 	if b.next >= len(b.heads) {

@@ -249,7 +249,9 @@ type (
 	// ShardedRouter dispatches streams to K scheduler pipelines by flow
 	// hash and aggregates their results.
 	ShardedRouter = shard.Router
-	// ShardedResult is the merged view of a sharded run.
+	// ShardedResult is the merged view of a sharded run, supervised or
+	// not: frame ledger, modeled and wall-clock throughput, and the
+	// recovery summary (Rounds == 1 and nothing else on a fault-free run).
 	ShardedResult = shard.Result
 	// ShardResult is one shard's slice of a sharded run.
 	ShardResult = shard.ShardResult
@@ -258,7 +260,8 @@ type (
 )
 
 // NewShardedRouter builds a sharded endsystem router; Admit (or
-// AdmitBalanced) streams, then Run.
+// AdmitBalanced) streams, then Run once — or RunSupervised under a fault
+// schedule: Run is that one driver with no faults.
 func NewShardedRouter(cfg ShardedConfig) (*ShardedRouter, error) {
 	return shard.New(cfg)
 }
@@ -301,20 +304,20 @@ type (
 	// RecoveryConfig bounds restarts and backoff and picks the overload
 	// policy for a supervised run.
 	RecoveryConfig = shard.RecoveryConfig
-	// SupervisedResult is the frame ledger and recovery summary of a
-	// supervised run (conservation: Delivered + Dropped == Target).
-	SupervisedResult = shard.SupervisedResult
 )
 
 // NewFaultSchedule draws a deterministic fault schedule from the profile's
 // seed; the same profile always yields the same schedule.
 func NewFaultSchedule(p FaultProfile) (*FaultSchedule, error) { return fault.NewSchedule(p) }
 
-// RunShardedSupervised is RunShardedOpts under a fault schedule with the
-// self-healing supervisor: every shard's scheduler runs rank program p and
-// the admitted streams carry p's natural spec. A nil schedule injects
-// nothing; a nil trace discards the recovery record.
-func RunShardedSupervised(shards, slotsPerShard, framesPerStream int, mode TransferMode, p RankProgram, schedule *FaultSchedule, rcfg RecoveryConfig, trace *FaultTrace) (*SupervisedResult, error) {
+// RunShardedSupervised is RunShardedOpts under a fault schedule: every
+// shard's scheduler runs rank program p, the admitted streams carry p's
+// natural spec, and the result is the same ShardedResult with its recovery
+// summary filled in (conservation: Frames + Dropped == Target). Both run the
+// one sharded driver, whose supervisor restarts crashed pipelines and
+// re-aggregates dead shards' flows; a nil schedule injects nothing, and a
+// nil trace discards the recovery record.
+func RunShardedSupervised(shards, slotsPerShard, framesPerStream int, mode TransferMode, p RankProgram, schedule *FaultSchedule, rcfg RecoveryConfig, trace *FaultTrace) (*ShardedResult, error) {
 	return endsystem.RunShardedSupervised(shards, slotsPerShard, framesPerStream, mode, p, schedule, rcfg, trace)
 }
 
