@@ -100,6 +100,20 @@ func TestAdmitDynamicValidation(t *testing.T) {
 	}
 }
 
+// TestAdmitDynamicCostsOneLoadClock: Admit after Start loads one slot in
+// a single hardware clock.
+func TestAdmitDynamicCostsOneLoadClock(t *testing.T) {
+	s := edfScheduler(t, Config{Slots: 4, Routing: WinnerOnly})
+	before := s.HWCycles()
+	src := &traffic.Periodic{Gap: 1, Backlogged: true}
+	if err := s.Admit(0, attr.Spec{Class: attr.EDF, Period: 2}, src); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.HWCycles() - before; got != 1 {
+		t.Fatalf("dynamic admission cost %d clocks, want 1 (single-slot LOAD)", got)
+	}
+}
+
 func TestLongRunWrapSafety(t *testing.T) {
 	// Run well past the 16-bit wrap (65536) and verify the counters stay
 	// coherent: the datapath compares wrapped fields, the instrumentation
